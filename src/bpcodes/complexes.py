@@ -258,11 +258,11 @@ def tensor_double_complex(c: ChainComplex, d: ChainComplex) -> DoubleComplex:
 
 def _kron(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """Kronecker product with left-factor-major index order."""
-    if a.rows * a.cols == 0 or b.rows * b.cols == 0:
-        return F2Matrix.zeros(a.rows * b.rows, a.cols * b.cols)
-    da = a.to_dense().astype(np.uint8)
-    db = b.to_dense().astype(np.uint8)
-    return F2Matrix.from_dense(np.kron(da, db))
+    ar, ac = a.nonzeros()
+    br, bc = b.nonzeros()
+    rows = (ar[:, None] * b.rows + br).ravel()
+    cols = (ac[:, None] * b.cols + bc).ravel()
+    return F2Matrix.from_entries(a.rows * b.rows, a.cols * b.cols, (rows, cols))
 
 
 def total_complex(e: DoubleComplex) -> ChainComplex:
@@ -291,25 +291,25 @@ def total_complex(e: DoubleComplex) -> ChainComplex:
     for n in full:
         if n - 1 not in dims or dims[n] == 0 or dims[n - 1] == 0:
             continue
-        ones: list[tuple[int, int]] = []
+        parts = [np.zeros((2, 0), dtype=np.int64)]
         for (p, q) in blocks[n]:
             src = offs[(p, q)]
             v = e.vdiff(p, q)
             if v.rows and (p, q - 1) in offs:
-                dst = offs[(p, q - 1)]
-                ones.extend(_shift_entries(v, dst, src))
+                parts.append(_shift_entries(v, offs[(p, q - 1)], src))
             h = e.hdiff(p, q)
             if h.rows and (p - 1, q) in offs:
-                dst = offs[(p - 1, q)]
-                ones.extend(_shift_entries(h, dst, src))
-        diffs[n] = F2Matrix.from_entries(dims[n - 1], dims[n], ones)
+                parts.append(_shift_entries(h, offs[(p - 1, q)], src))
+        rows, cols = np.concatenate(parts, axis=1)
+        diffs[n] = F2Matrix.from_entries(dims[n - 1], dims[n], (rows, cols))
     tot = ChainComplex(dims, diffs, check=True)
     return tot
 
 
-def _shift_entries(m: F2Matrix, row_off: int, col_off: int) -> list[tuple[int, int]]:
-    rows, cols = np.nonzero(m.to_dense())
-    return [(int(r) + row_off, int(c) + col_off) for r, c in zip(rows, cols)]
+def _shift_entries(m: F2Matrix, row_off: int, col_off: int) -> np.ndarray:
+    """2 x nnz array of m's (row, col) entries moved to a block offset."""
+    rows, cols = m.nonzeros()
+    return np.stack([rows + row_off, cols + col_off])
 
 
 def tensor_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:

@@ -19,6 +19,39 @@ class ContainmentError(BpcodesError):
     """A claimed subspace containment does not hold."""
 
 
+# alist files
+class AlistError(BpcodesError):
+    """Text that is not a well-formed alist matrix."""
+
+
+class AlistTruncated(AlistError):
+    """The text ends before the header, degree lists or index lists do."""
+
+
+class AlistDegreeMismatch(AlistError):
+    """Degree lists disagree with the header or with each other."""
+
+
+class AlistIndexOutOfRange(AlistError, DimensionMismatch):
+    """An index list names a row or column outside the declared size."""
+
+
+class AlistDuplicateIndex(AlistError):
+    """An index list names the same entry twice."""
+
+
+class AlistListsDisagree(AlistError):
+    """Row lists and column lists describe different matrices."""
+
+
+class AlistTrailingTokens(AlistError):
+    """Tokens follow the last row list."""
+
+
+class BundleCorrupt(BpcodesError):
+    """A bundle's 0/1 row file is malformed."""
+
+
 # finite groups / fields
 class InvalidModulus(BpcodesError):
     pass

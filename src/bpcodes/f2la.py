@@ -1,7 +1,13 @@
-"""Exact dense linear algebra over GF(2).
+"""Exact linear algebra over GF(2) on bit-packed words and index arrays.
 
 Matrices are stored bit-packed, 64 entries per machine word, as numpy
 uint64 arrays (one row of words per matrix row, LSB-first within a word).
+Structural operations (transpose, permutation, products, stacking) work
+on those words and on the ``(row, col)`` int64 index arrays returned by
+``F2Matrix.nonzeros``, built back with ``F2Matrix.from_entries``; their
+cost follows the number of nonzero words and entries, never rows x cols.
+``to_dense``/``from_dense`` convert small matrices to and from 0/1 arrays.
+
 Gaussian elimination always pivots on the lowest-index nonzero column so
 ranks, kernels and solutions are bit-reproducible across runs.
 
@@ -17,20 +23,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContainmentError, DimensionMismatch
+from .errors import (
+    AlistDegreeMismatch,
+    AlistDuplicateIndex,
+    AlistError,
+    AlistIndexOutOfRange,
+    AlistListsDisagree,
+    AlistTrailingTokens,
+    AlistTruncated,
+    ContainmentError,
+    DimensionMismatch,
+)
 
 _WORD = 64
+_ONE = np.uint64(1)
 
 
 def _n_words(cols: int) -> int:
     return max(1, (cols + _WORD - 1) // _WORD)
 
 
+def _bit_masks(cols: np.ndarray) -> np.ndarray:
+    """The single-bit word holding each column index."""
+    return np.left_shift(_ONE, (cols & (_WORD - 1)).astype(np.uint64))
+
+
 class F2Matrix:
     """Immutable bit-packed matrix over GF(2).
 
     Entries live in ``data``, shape (rows, n_words) dtype uint64; bit j of
-    row i is ``(data[i, j // 64] >> (j % 64)) & 1``.
+    row i is ``(data[i, j // 64] >> (j % 64)) & 1``. Bits past ``cols``
+    are always zero.
     """
 
     __slots__ = ("rows", "cols", "data", "_tcache")
@@ -42,7 +65,8 @@ class F2Matrix:
             )
         self.rows = rows
         self.cols = cols
-        self.data = data
+        # freeze a view: the caller's own array stays writeable
+        self.data = data.view()
         self.data.flags.writeable = False
 
     # -- constructors -------------------------------------------------
@@ -54,8 +78,8 @@ class F2Matrix:
     @staticmethod
     def identity(n: int) -> "F2Matrix":
         data = np.zeros((n, _n_words(n)), dtype=np.uint64)
-        for i in range(n):
-            data[i, i // _WORD] = np.uint64(1) << np.uint64(i % _WORD)
+        diag = np.arange(n)
+        data[diag, diag // _WORD] = _bit_masks(diag)
         return F2Matrix(n, n, data)
 
     @staticmethod
@@ -86,13 +110,26 @@ class F2Matrix:
         return F2Matrix(rows, cols, data.view(np.uint64))
 
     @staticmethod
-    def from_entries(rows: int, cols: int, ones: list[tuple[int, int]]) -> "F2Matrix":
-        """Build from a list of (row, col) positions holding a 1; duplicates cancel."""
+    def from_entries(rows: int, cols: int, ones) -> "F2Matrix":
+        """Build from the positions holding a 1; duplicates cancel.
+
+        ``ones`` is either a list of (row, col) pairs or a pair of integer
+        index arrays ``(row_idx, col_idx)``.
+        """
+        if isinstance(ones, tuple) and len(ones) == 2 and isinstance(ones[0], np.ndarray):
+            r = np.asarray(ones[0], dtype=np.int64)
+            c = np.asarray(ones[1], dtype=np.int64)
+        else:
+            pairs = np.asarray(ones, dtype=np.int64).reshape(-1, 2)
+            r, c = pairs[:, 0], pairs[:, 1]
+        if r.shape != c.shape:
+            raise DimensionMismatch("row and column index arrays differ in length")
+        bad = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+        if len(bad):
+            i, j = int(r[bad[0]]), int(c[bad[0]])
+            raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
         data = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
-        for i, j in ones:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            data[i, j // _WORD] ^= np.uint64(1) << np.uint64(j % _WORD)
+        np.bitwise_xor.at(data, (r, c // _WORD), _bit_masks(c))
         return F2Matrix(rows, cols, data)
 
     # -- accessors ----------------------------------------------------
@@ -114,11 +151,24 @@ class F2Matrix:
         )
         return bits.astype(np.uint8)
 
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 (row, col) index arrays of the ones, in row-major order.
+
+        Only the nonzero words are unpacked.
+        """
+        wr, ww = np.nonzero(self.data)
+        words = self.data[wr, ww]
+        bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        k, b = np.nonzero(bits)
+        rows, cols = wr[k], ww[k] * _WORD + b
+        return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+
     def row_weights(self) -> np.ndarray:
         return np.bitwise_count(self.data).sum(axis=1).astype(np.int64)
 
     def col_weights(self) -> np.ndarray:
-        return self.transpose().row_weights()
+        _, c = self.nonzeros()
+        return np.bincount(c, minlength=self.cols).astype(np.int64)
 
     def is_zero(self) -> bool:
         return not self.data.any()
@@ -140,7 +190,8 @@ class F2Matrix:
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix.from_dense(self.to_dense().T)
+        r, c = self.nonzeros()
+        return F2Matrix.from_entries(self.cols, self.rows, (c, r))
 
     def add(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -154,11 +205,10 @@ class F2Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         out = np.zeros((self.rows, _n_words(other.cols)), dtype=np.uint64)
-        dense = self.to_dense()
-        for i in range(self.rows):
-            sel = np.nonzero(dense[i])[0]
-            if len(sel):
-                out[i] = np.bitwise_xor.reduce(other.data[sel], axis=0)
+        r, c = self.nonzeros()
+        if len(r):
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            out[r[starts]] = np.bitwise_xor.reduceat(other.data[c], starts, axis=0)
         return F2Matrix(self.rows, other.cols, out)
 
     def mul_vec_int(self, x: int) -> int:
@@ -183,8 +233,9 @@ class F2Matrix:
     def hstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        a, b = self.to_dense(), other.to_dense()
-        return F2Matrix.from_dense(np.hstack([a, b]))
+        (r1, c1), (r2, c2) = self.nonzeros(), other.nonzeros()
+        ones = (np.concatenate([r1, r2]), np.concatenate([c1, c2 + self.cols]))
+        return F2Matrix.from_entries(self.rows, self.cols + other.cols, ones)
 
     def vstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.cols:
@@ -197,17 +248,13 @@ class F2Matrix:
         idx = np.asarray(idx, dtype=np.int64)
         return F2Matrix(len(idx), self.cols, self.data[idx].copy())
 
-    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.to_dense())
-
     def permuted(self, row_perm, col_perm) -> "F2Matrix":
         """Rows and columns relocated: entry (i, j) moves to
         (row_perm[i], col_perm[j])."""
-        rows, cols = self.nonzeros()
+        r, c = self.nonzeros()
         rp = np.asarray(row_perm, dtype=np.int64)
         cp = np.asarray(col_perm, dtype=np.int64)
-        ones = list(zip(rp[rows].tolist(), cp[cols].tolist()))
-        return F2Matrix.from_entries(self.rows, self.cols, ones)
+        return F2Matrix.from_entries(self.rows, self.cols, (rp[r], cp[c]))
 
 
 def _echelonize(data: np.ndarray, cols: int) -> tuple[np.ndarray, list[int]]:
@@ -285,21 +332,27 @@ class F2Subspace:
 def kernel_basis(m: F2Matrix) -> F2Subspace:
     """Basis of the right kernel {x : Mx = 0}, one vector per free column.
 
-    Derived from the reduced echelon form, so repeated runs are
-    bit-identical; dimension is cols - rank.
+    The vector of free column f has bit f and, for each RREF row i, bit
+    pivots[i] equal to entry (i, f). Derived from the reduced echelon
+    form, so repeated runs are bit-identical; dimension is cols - rank.
     """
     r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    rows: list[int] = []
-    rdense = r.to_dense()
-    for f in free:
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if rdense[i, f]:
-                v |= 1 << p
-        rows.append(v)
-    return F2Subspace(m.cols, F2Matrix.from_rows(rows, m.cols))
+    piv = np.asarray(pivots, dtype=np.int64)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    data = np.zeros((len(free), _n_words(m.cols)), dtype=np.uint64)
+    data[np.arange(len(free)), free // _WORD] = _bit_masks(free)
+    # pivots are increasing, so the RREF rows whose pivots share an output
+    # word are consecutive; gather their free-column bits word by word
+    free_word, free_shift = free // _WORD, (free % _WORD).astype(np.uint64)
+    piv_word = piv // _WORD
+    starts = np.flatnonzero(np.diff(piv_word, prepend=-1)).tolist() + [len(piv)]
+    for s, e in zip(starts[:-1], starts[1:]):
+        bits = (r.data[s:e][:, free_word] >> free_shift) & _ONE
+        placed = bits << (piv[s:e, None] % _WORD).astype(np.uint64)
+        data[:, piv_word[s]] |= np.bitwise_or.reduce(placed, axis=0)
+    return F2Subspace(m.cols, F2Matrix(len(free), m.cols, data))
 
 
 def row_space(m: F2Matrix) -> F2Subspace:
@@ -324,18 +377,22 @@ def solve(m: F2Matrix, b: int) -> int | None:
     """
     if b >> m.rows:
         raise DimensionMismatch("right-hand side longer than row count")
-    aug_rows = []
-    for i in range(m.rows):
-        aug_rows.append(m.row_int(i) | (((b >> i) & 1) << m.cols))
-    aug = F2Matrix.from_rows(aug_rows, m.cols + 1)
-    r, pivots = rref(aug)
-    if m.cols in pivots:
+    # augment with b as column m.cols
+    w, mask = m.cols // _WORD, _ONE << np.uint64(m.cols % _WORD)
+    aug = np.zeros((m.rows, _n_words(m.cols + 1)), dtype=np.uint64)
+    aug[:, : m.data.shape[1]] = m.data
+    b_bits = np.unpackbits(
+        np.frombuffer(b.to_bytes((m.rows + 7) // 8, "little"), dtype=np.uint8),
+        bitorder="little",
+        count=m.rows,
+    )
+    aug[b_bits.astype(bool), w] |= mask
+    r, pivots = rref(F2Matrix(m.rows, m.cols + 1, aug))
+    if pivots and pivots[-1] == m.cols:
         return None
     x = 0
-    rdense = r.to_dense()
-    for i, p in enumerate(pivots):
-        if rdense[i, m.cols]:
-            x |= 1 << p
+    for p in np.asarray(pivots, dtype=np.int64)[(r.data[:, w] & mask) != 0].tolist():
+        x |= 1 << p
     return x
 
 
@@ -351,10 +408,6 @@ def solve_matrix(m: F2Matrix, rhs: F2Matrix) -> F2Matrix | None:
             return None
         cols.append(x)
     return F2Matrix.from_rows(cols, m.cols).transpose()
-
-
-def vector_weight(v: int) -> int:
-    return v.bit_count()
 
 
 class IncrementalSpan:
@@ -396,24 +449,34 @@ class IncrementalSpan:
 # -- alist import/export ----------------------------------------------
 
 
+def _index_lists(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
+    """One line per major index: its 1-based minor indices, space separated.
+
+    ``major`` must be sorted and ``minor`` increasing within each major.
+    """
+    words = (minor + 1).astype(str).tolist()
+    ends = np.cumsum(np.bincount(major, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
+    return [" ".join(words[s:e]) for s, e in zip(starts, ends)]
+
+
 def alist_dumps(m: F2Matrix) -> str:
     """MacKay's alist format (first line: cols rows).
 
     Index lists are 1-based; shorter lists are not zero-padded.
     """
-    dense = m.to_dense()
-    n, mm = m.cols, m.rows
-    col_lists = [list(np.nonzero(dense[:, j])[0] + 1) for j in range(n)]
-    row_lists = [list(np.nonzero(dense[i, :])[0] + 1) for i in range(mm)]
+    r, c = m.nonzeros()
+    by_col = np.argsort(c, kind="stable")
+    col_deg = np.bincount(c, minlength=m.cols)
+    row_deg = np.bincount(r, minlength=m.rows)
     lines = [
-        f"{n} {mm}",
-        f"{max((len(c) for c in col_lists), default=0)} "
-        f"{max((len(r) for r in row_lists), default=0)}",
-        " ".join(str(len(c)) for c in col_lists),
-        " ".join(str(len(r)) for r in row_lists),
+        f"{m.cols} {m.rows}",
+        f"{col_deg.max(initial=0)} {row_deg.max(initial=0)}",
+        " ".join(col_deg.astype(str).tolist()),
+        " ".join(row_deg.astype(str).tolist()),
     ]
-    lines.extend(" ".join(map(str, c)) for c in col_lists)
-    lines.extend(" ".join(map(str, r)) for r in row_lists)
+    lines.extend(_index_lists(c[by_col], r[by_col], m.cols))
+    lines.extend(_index_lists(r, c, m.rows))
     return "\n".join(lines) + "\n"
 
 
@@ -422,31 +485,93 @@ def write_alist(m: F2Matrix, path) -> None:
         f.write(alist_dumps(m))
 
 
+def _alist_lists(tokens, pos, degs, max_deg, bound, what):
+    """Read the block of index lists starting at ``pos``.
+
+    Lists hold ``degs[k]`` entries each, either back to back or (MacKay's
+    padded layout) each followed by zeros up to ``max_deg`` entries.
+    Returns 0-based (list, index) pairs and the position after the block.
+    """
+    n_entries = int(degs.sum())
+    padded = len(degs) * max_deg
+    end = pos + n_entries
+    idx = tokens[pos:end]
+    if padded != n_entries and pos + padded <= len(tokens):
+        grid = tokens[pos : pos + padded].reshape(len(degs), max_deg)
+        in_list = np.arange(max_deg) < degs[:, None]
+        if not grid[~in_list].any():
+            idx, end = grid[in_list], pos + padded
+    if end > len(tokens):
+        raise AlistTruncated(
+            f"{what} lists need {n_entries} entries, {len(tokens) - pos} remain"
+        )
+    bad = np.flatnonzero((idx < 1) | (idx > bound))
+    if len(bad):
+        raise AlistIndexOutOfRange(
+            f"{what} lists hold index {int(idx[bad[0]])} outside 1..{bound}"
+        )
+    return np.repeat(np.arange(len(degs), dtype=np.int64), degs), idx - 1, end
+
+
+def _entry_keys(rows, cols, n, what) -> np.ndarray:
+    """Sorted row-major keys of the entries; an entry listed twice raises."""
+    key = np.sort(rows * n + cols)
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if len(dup):
+        i, j = divmod(int(key[dup[0]]), n)
+        raise AlistDuplicateIndex(f"{what} lists hold entry ({i + 1},{j + 1}) twice")
+    return key
+
+
 def alist_loads(text: str) -> F2Matrix:
-    it = iter(text.split())
-    n, mm = int(next(it)), int(next(it))
-    next(it), next(it)
-    col_deg = [int(next(it)) for _ in range(n)]
-    row_deg = [int(next(it)) for _ in range(mm)]
-    ones = []
-    for j in range(n):
-        for _ in range(col_deg[j]):
-            i = int(next(it))
-            if i > 0:  # zero entries appear when files are padded
-                ones.append((i - 1, j))
-    # row lists are redundant; consume if present
-    for i in range(mm):
-        for _ in range(row_deg[i]):
-            try:
-                next(it)
-            except StopIteration:
-                break
-    return F2Matrix.from_entries(mm, n, ones)
+    """Parse an alist file strictly.
+
+    Column and row lists must describe the same matrix, degrees must
+    match the header and the lists, indices must be in range and nothing
+    may follow the row lists. Lists may carry MacKay's zero padding.
+    """
+    try:
+        tokens = np.array([int(t) for t in text.split()], dtype=np.int64)
+    except (ValueError, OverflowError) as e:
+        raise AlistError(f"alist tokens must be integers: {e}") from None
+    if len(tokens) < 4:
+        raise AlistTruncated("alist header needs four integers")
+    n, mm, max_col, max_row = tokens[:4].tolist()
+    if n < 0 or mm < 0:
+        raise AlistError(f"negative matrix size {mm}x{n}")
+    if len(tokens) < 4 + n + mm:
+        raise AlistTruncated("alist degree lists are incomplete")
+    col_deg = tokens[4 : 4 + n]
+    row_deg = tokens[4 + n : 4 + n + mm]
+    if col_deg.max(initial=0) != max_col or row_deg.max(initial=0) != max_row:
+        raise AlistDegreeMismatch(
+            f"header maximum degrees {max_col} {max_row} differ from the degree lists"
+        )
+    if (col_deg < 0).any() or (row_deg < 0).any():
+        raise AlistDegreeMismatch("negative degree")
+    if col_deg.sum() != row_deg.sum():
+        raise AlistDegreeMismatch(
+            f"column degrees sum to {col_deg.sum()}, row degrees to {row_deg.sum()}"
+        )
+    cols, rows, pos = _alist_lists(tokens, 4 + n + mm, col_deg, max_col, mm, "column")
+    row_rows, row_cols, pos = _alist_lists(tokens, pos, row_deg, max_row, n, "row")
+    if pos != len(tokens):
+        raise AlistTrailingTokens(f"{len(tokens) - pos} tokens after the row lists")
+    if not np.array_equal(
+        _entry_keys(rows, cols, n, "column"), _entry_keys(row_rows, row_cols, n, "row")
+    ):
+        raise AlistListsDisagree("row lists and column lists describe different matrices")
+    return F2Matrix.from_entries(mm, n, (rows, cols))
 
 
 def read_alist(path) -> F2Matrix:
-    with open(path) as f:
-        return alist_loads(f.read())
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise AlistError(f"{path}: alist files are ASCII text ({e})") from None
+    return alist_loads(text)
 
 
 # -- dense binary dump ------------------------------------------------

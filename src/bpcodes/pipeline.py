@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import build_pgl2, is_prime, legendre, unipotent_subgroup
 from .classical import LinearCode, local_code_from_spec
-from .errors import BpcodesError, DegreeMismatch, RecipeInvalid
+from .errors import BpcodesError, BundleCorrupt, DegreeMismatch, RecipeInvalid
 from .f2la import F2Matrix, rank, read_alist, write_alist
 from .graphs import (
     GraphAction,
@@ -34,13 +34,7 @@ from .products import (
     pi_iota_is_identity,
 )
 from .quantum import css_from_complex, ldpc_check, pk_bounds
-from .tanner import (
-    TannerComplex,
-    build_tanner,
-    check_expansion_theorem7,
-    check_expansion_theorem8,
-    rate_lower_bound,
-)
+from .tanner import TannerComplex, build_tanner, rate_lower_bound
 
 REFERENCE_NOTE = (
     "reference constants p=401, delta=0.1, alpha_ho=1e-3, alpha_co=1e-5 are "
@@ -257,15 +251,30 @@ def _safe_beta8(tanner: TannerComplex, lam2, alpha):
 
 
 def _write_rows(path: str, m: F2Matrix) -> None:
-    with open(path, "w") as f:
-        dense = m.to_dense()
-        for i in range(m.rows):
-            f.write("".join(str(int(b)) for b in dense[i]) + "\n")
+    """One line of ASCII 0/1 characters per matrix row."""
+    import numpy as np
+
+    text = np.full((m.rows, m.cols + 1), ord("0"), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    text[m.nonzeros()] = ord("1")
+    with open(path, "wb") as f:
+        f.write(text.tobytes())
 
 
-def _read_rows(path: str) -> list[str]:
-    with open(path) as f:
-        return [line.strip() for line in f if line.strip()]
+def _read_rows(path: str, cols: int) -> F2Matrix:
+    """Inverse of _write_rows; blank lines and surrounding whitespace are
+    ignored, and every row must be ``cols`` characters of 0 and 1."""
+    import numpy as np
+
+    with open(path, "rb") as f:
+        lines = [line.strip() for line in f.read().splitlines()]
+    lines = [line for line in lines if line]
+    if any(len(line) != cols for line in lines):
+        raise BundleCorrupt(f"{path}: rows must have {cols} characters")
+    text = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), cols)
+    if ((text != ord("0")) & (text != ord("1"))).any():
+        raise BundleCorrupt(f"{path}: rows may hold only 0 and 1")
+    return F2Matrix.from_entries(len(lines), cols, np.nonzero(text == ord("1")))
 
 
 def _bundle_hash(*mats: F2Matrix) -> str:
@@ -293,12 +302,10 @@ def load_and_validate_bundle(out_dir: str) -> dict:
     k = hx.cols - rank(hx) - rank(hz)
     if k != params["k_homology"]:
         raise BpcodesError("recomputed homology count disagrees with params.json")
-    logicals = _read_rows(os.path.join(out_dir, "logicals_z.txt"))
-    gauge = _read_rows(os.path.join(out_dir, "gauge_z.txt"))
-    if len(logicals) != params["K_logical"] or len(gauge) != params["gauge"]:
+    lm = _read_rows(os.path.join(out_dir, "logicals_z.txt"), hx.cols)
+    gm = _read_rows(os.path.join(out_dir, "gauge_z.txt"), hx.cols)
+    if lm.rows != params["K_logical"] or gm.rows != params["gauge"]:
         raise BpcodesError("representative counts disagree with params.json")
-    lm = F2Matrix.from_dense([[int(c) for c in row] for row in logicals]) if logicals else F2Matrix.zeros(0, hx.cols)
-    gm = F2Matrix.from_dense([[int(c) for c in row] for row in gauge]) if gauge else F2Matrix.zeros(0, hx.cols)
     if not hx.matmul(lm.transpose()).is_zero():
         raise BpcodesError("logical representatives are not cycles")
     if params["bundle_hash"] != _bundle_hash(hx, hz, lm, gm):

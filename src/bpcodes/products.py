@@ -192,9 +192,9 @@ def balanced_product(left: ComplexWithAction, right: ComplexWithAction) -> Balan
     hdiffs: dict[tuple[int, int], F2Matrix] = {}
     for (p, q), cell in cells.items():
         if (p, q - 1) in cells:
-            vdiffs[(p, q)] = _induced_right(cell, cells[(p, q - 1)], cr.differential(q))
+            vdiffs[(p, q)] = _induced(cell, cells[(p, q - 1)], cr.differential(q), 1)
         if (p - 1, q) in cells:
-            hdiffs[(p, q)] = _induced_left(cell, cells[(p - 1, q)], cl.differential(p))
+            hdiffs[(p, q)] = _induced(cell, cells[(p - 1, q)], cl.differential(p), 0)
     double = DoubleComplex(grid, vdiffs, hdiffs, check=True)
     total = total_complex(double)
     return BalancedProductComplex(left, right, double, total, cells)
@@ -221,29 +221,26 @@ def _pair_orbits(perms_l, perms_r, g: FiniteGroup, nl: int, nr: int) -> Balanced
     return BalancedCell(tuple(reps), orbit_of)
 
 
-def _induced_left(src: BalancedCell, dst: BalancedCell, d: F2Matrix) -> F2Matrix:
-    """Differential on the left factor, pushed to the quotient bases."""
-    rows, cols = d.nonzeros()
-    by_col: dict[int, list[int]] = {}
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        by_col.setdefault(c, []).append(r)
-    ones = []
-    for o, (x, y) in enumerate(src.reps):
-        for z in by_col.get(x, ()):
-            ones.append((int(dst.orbit_of[z, y]), o))
-    return F2Matrix.from_entries(dst.dim, src.dim, ones)
+def _induced(src: BalancedCell, dst: BalancedCell, d: F2Matrix, side: int) -> F2Matrix:
+    """Differential of one factor pushed to the quotient bases.
 
-
-def _induced_right(src: BalancedCell, dst: BalancedCell, d: F2Matrix) -> F2Matrix:
+    ``side`` 0 applies d to the left member of each representative pair
+    (x, y), side 1 to the right member: the column of source orbit o
+    holds the orbits of (z, y) (resp. (x, z)) for every z with d[z, .] = 1.
+    """
+    reps = np.asarray(src.reps, dtype=np.int64).reshape(-1, 2)
     rows, cols = d.nonzeros()
-    by_col: dict[int, list[int]] = {}
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        by_col.setdefault(c, []).append(r)
-    ones = []
-    for o, (x, y) in enumerate(src.reps):
-        for w in by_col.get(y, ()):
-            ones.append((int(dst.orbit_of[x, w]), o))
-    return F2Matrix.from_entries(dst.dim, src.dim, ones)
+    by_col = np.argsort(cols, kind="stable")
+    hits = rows[by_col]
+    deg = np.bincount(cols, minlength=d.cols)
+    first = np.cumsum(deg) - deg
+    counts = deg[reps[:, side]]
+    orbit = np.repeat(np.arange(len(reps)), counts)
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    z = hits[np.repeat(first[reps[:, side]], counts) + within]
+    pair = reps[orbit].T.copy()
+    pair[side] = z
+    return F2Matrix.from_entries(dst.dim, src.dim, (dst.orbit_of[pair[0], pair[1]], orbit))
 
 
 # -- fiber bundle complexes -------------------------------------------------

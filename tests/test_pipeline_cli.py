@@ -1,9 +1,16 @@
 import json
+import os
+import shutil
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpcodes.cli import main
-from bpcodes.errors import RecipeInvalid
+from bpcodes.errors import AlistTruncated, BpcodesError, BundleCorrupt, RecipeInvalid
+from bpcodes.f2la import F2Matrix
 from bpcodes.pipeline import Recipe, build_bundle, load_and_validate_bundle
 
 
@@ -145,3 +152,83 @@ def test_cli_build_with_registry(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["N"] == 18
+
+
+# -- bundle row files and corrupted bundles ---------------------------
+
+BUNDLE_FILES = ["hx.alist", "hz.alist", "logicals_z.txt", "gauge_z.txt"]
+
+
+@pytest.fixture(scope="module")
+def toy_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy")
+    params = build_bundle(Recipe(graph="cycle:9", ell=3, local="rep:2"), str(out)).params
+    return out, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.sampled_from([1, 63, 64, 65, 130]), st.integers(0, 2**32 - 1))
+def test_row_files_roundtrip(rows, cols, seed):
+    # zero-width rows would be blank lines, which readers skip
+    from bpcodes.pipeline import _read_rows, _write_rows
+
+    d = np.random.default_rng(seed).integers(0, 2, (rows, cols), dtype=np.uint8)
+    m = F2Matrix.from_dense(d)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.txt")
+        _write_rows(path, m)
+        with open(path) as f:
+            assert f.read() == "".join("".join(map(str, row)) + "\n" for row in d.tolist())
+        assert _read_rows(path, cols) == m
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(BUNDLE_FILES),
+    st.sampled_from(["replace", "delete", "insert", "truncate"]),
+    st.integers(0, 10**6),
+    st.sampled_from(list(b"0123456789 \n-x") + [0xFF]),
+)
+def test_corrupted_bundle_rejected(toy_bundle, name, op, where, byte):
+    """Any edit of a bundle file either leaves the matrices unchanged or
+    is rejected with a BpcodesError."""
+    src, params = toy_bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, tmp, dirs_exist_ok=True)
+        path = os.path.join(tmp, name)
+        with open(path, "rb") as f:
+            raw = bytearray(f.read())
+        i = where % len(raw)
+        if op == "replace":
+            raw[i] = byte
+        elif op == "delete":
+            del raw[i]
+        elif op == "insert":
+            raw.insert(i, byte)
+        else:
+            del raw[i:]
+        with open(path, "wb") as f:
+            f.write(raw)
+        try:
+            reloaded = load_and_validate_bundle(tmp)
+        except BpcodesError:
+            return
+        assert reloaded == params
+
+
+@pytest.mark.parametrize(
+    "name, text, error",
+    [
+        ("hx.alist", "18 9\n", AlistTruncated),
+        ("logicals_z.txt", "0101\n", BundleCorrupt),
+        ("gauge_z.txt", "2" * 18 + "\n", BundleCorrupt),
+    ],
+)
+def test_bundle_loader_names_the_fault(toy_bundle, name, text, error):
+    src, _ = toy_bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, tmp, dirs_exist_ok=True)
+        with open(os.path.join(tmp, name), "w") as f:
+            f.write(text)
+        with pytest.raises(error):
+            load_and_validate_bundle(tmp)
