@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CapExceeded, DimensionMismatch, InvalidModulus, NotPGL
 from .f2la import F2Matrix
 
@@ -92,20 +94,14 @@ class ProjMat2:
     def det_is_square(self) -> bool:
         return legendre(self.det(), self.q) == 1
 
-    def is_unipotent_upper(self) -> bool:
-        return self.a == 1 and self.c == 0 and self.d == 1
-
 
 class FiniteGroup:
-    """A finite group held as an indexed element list.
-
-    Multiplication goes through a lookup table when the order is small
-    enough, otherwise it is computed on the fly from the elements.
+    """A finite group held as an indexed element list; products are computed
+    from the elements and looked up by index. Closure is checked when the
+    order is at most 400.
     """
 
-    TABLE_CAP = 10_000
-
-    def __init__(self, elements, mul_fn, name: str = "", check: bool | None = None):
+    def __init__(self, elements, mul_fn, name: str = ""):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -113,12 +109,9 @@ class FiniteGroup:
         self._mul_fn = mul_fn
         self.name = name
         self.order = len(self.elements)
-        self._table = None
         self.identity = self._find_identity()
         self._inv = self._build_inverses()
-        if check is None:
-            check = self.order <= 400
-        if check:
+        if self.order <= 400:
             self._check_closure()
 
     def _find_identity(self) -> int:
@@ -158,8 +151,6 @@ class FiniteGroup:
                     raise InvalidModulus(f"product {e} * {f} leaves the element list")
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
         prod = self._mul_fn(self.elements[i], self.elements[j])
         k = self.index.get(prod)
         if k is None:
@@ -169,15 +160,24 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
-    def build_table(self) -> None:
-        if self._table is not None:
-            return
-        if self.order > self.TABLE_CAP:
-            raise CapExceeded(f"order {self.order} exceeds table cap {self.TABLE_CAP}")
-        self._table = [
-            [self.index[self._mul_fn(e, f)] for f in self.elements]
-            for e in self.elements
-        ]
+    def is_action_table(self, perms) -> bool:
+        """Whether perms (order x n, row h the image of every point under
+        element h) is a group action: every entry lies in range, the
+        identity row fixes every point, and perms[a][perms[b]] equals
+        perms[a*b] for all a, b. Rows are then permutations."""
+        p = np.asarray(perms, dtype=np.int64)
+        if p.ndim != 2 or p.shape[0] != self.order:
+            return False
+        n = p.shape[1]
+        if n and (p.min() < 0 or p.max() >= n):
+            return False
+        if not np.array_equal(p[self.identity], np.arange(n)):
+            return False
+        for a in range(self.order):
+            prods = [self.mul(a, b) for b in range(self.order)]
+            if not np.array_equal(p[a][p], p[prods]):
+                return False
+        return True
 
     def element_order(self, i: int) -> int:
         k, acc = 1, i
@@ -330,13 +330,7 @@ def circulant_lift(x: GroupAlgebraElem) -> F2Matrix:
     Entry (i, j) is the coefficient of the generator power (i - j) mod ell,
     so lift(x*y) = lift(x) @ lift(y).
     """
-    ell = x.ell
-    ones = []
-    for k in range(ell):
-        if (x.coeffs >> k) & 1:
-            for j in range(ell):
-                ones.append(((j + k) % ell, j))
-    return F2Matrix.from_entries(ell, ell, ones)
+    return lift_group_algebra_matrix([[x]])
 
 
 def lift_group_algebra_matrix(entries: list[list[GroupAlgebraElem]]) -> F2Matrix:
@@ -349,18 +343,18 @@ def lift_group_algebra_matrix(entries: list[list[GroupAlgebraElem]]) -> F2Matrix
         raise DimensionMismatch("empty matrix")
     ell = entries[0][0].ell
     rows, cols = len(entries), len(entries[0])
-    ones = []
-    for i, row in enumerate(entries):
-        if len(row) != cols:
-            raise DimensionMismatch("ragged matrix")
-        for j, e in enumerate(row):
-            if e.ell != ell:
-                raise DimensionMismatch("mixed cyclic orders in matrix")
-            for k in range(ell):
-                if (e.coeffs >> k) & 1:
-                    for s in range(ell):
-                        ones.append((i * ell + (s + k) % ell, j * ell + s))
-    return F2Matrix.from_entries(rows * ell, cols * ell, ones)
+    if any(len(row) != cols for row in entries):
+        raise DimensionMismatch("ragged matrix")
+    if any(e.ell != ell for row in entries for e in row):
+        raise DimensionMismatch("mixed cyclic orders in matrix")
+    # object dtype keeps the masks as Python ints, so any ell fits
+    masks = np.array([[e.coeffs for e in row] for row in entries], dtype=object)
+    i, j = np.nonzero(masks)
+    s = np.arange(ell)
+    hit, k = np.nonzero((masks[i, j, None] >> s) & 1)
+    out_rows = i[hit, None] * ell + (s + k[:, None]) % ell
+    out_cols = j[hit, None] * ell + s
+    return F2Matrix.from_entries(rows * ell, cols * ell, (out_rows.ravel(), out_cols.ravel()))
 
 
 # -- GF(2^m) ------------------------------------------------------------

@@ -43,9 +43,7 @@ def main(argv: list[str] | None = None) -> int:
         "(default gv:<degree>,0.1,0)",
     )
     b.add_argument("--registry", default=None, help="JSON file of named local-code recipes")
-    b.add_argument("--labeling", default="canonical", choices=["canonical", "search"])
     b.add_argument("--out", required=True, help="output directory")
-    b.add_argument("--jobs", type=int, default=1)
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("--suite", required=True, help="suite name or 'all'")
@@ -96,8 +94,6 @@ def _cmd_build(args) -> int:
         q=args.q,
         ell=args.ell,
         local=local,
-        labeling=args.labeling,
-        jobs=args.jobs,
     )
     result = build_bundle(recipe, args.out)
     print(json.dumps(result.params, indent=2, sort_keys=True))
@@ -116,8 +112,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    import numpy as np
-
     from .graphs import (
         complete_graph,
         cycle_labeled_graph,

@@ -12,14 +12,12 @@ decreasing left degree, so every product matrix is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegreeOutOfRange,
-    DimensionMismatch,
     KunnethViolation,
     NotChainComplex,
     NotDoubleComplex,
@@ -30,8 +28,6 @@ from .f2la import (
     F2Matrix,
     F2Subspace,
     IncrementalSpan,
-    alist_dumps,
-    alist_loads,
     kernel_basis,
     rank,
     rref,
@@ -125,28 +121,6 @@ class ChainComplex:
             {i + k: d for i, d in self.diffs.items()},
             check=False,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degrees": [self.min_degree, self.max_degree],
-            "dims": {str(i): self.dims[i] for i in self.degrees()},
-            "diffs": {str(i): alist_dumps(d) for i, d in sorted(self.diffs.items())},
-        }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "ChainComplex":
-        dims = {int(k): v for k, v in obj["dims"].items()}
-        diffs = {int(k): alist_loads(s) for k, s in obj["diffs"].items()}
-        return ChainComplex(dims, diffs)
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
-
-    @staticmethod
-    def load_json(path) -> "ChainComplex":
-        with open(path) as f:
-            return ChainComplex.from_json_dict(json.load(f))
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,12 @@ cost follows the number of nonzero words and entries, never rows x cols.
 Gaussian elimination always pivots on the lowest-index nonzero column so
 ranks, kernels and solutions are bit-reproducible across runs.
 
-Also provides the two on-disk formats used throughout: the MacKay "alist"
-sparse text format and a raw binary dump (two little-endian uint64 dims
-followed by packed rows).
+Also provides the MacKay "alist" sparse text format, in which code
+bundles store their check matrices.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -572,26 +570,3 @@ def read_alist(path) -> F2Matrix:
     except UnicodeDecodeError as e:
         raise AlistError(f"{path}: alist files are ASCII text ({e})") from None
     return alist_loads(text)
-
-
-# -- dense binary dump ------------------------------------------------
-
-
-def write_binary(m: F2Matrix, path) -> None:
-    """Raw dump: rows and cols as two little-endian uint64, then packed rows.
-
-    Each row occupies n_words*8 bytes, LSB-first bit order (the in-memory
-    layout verbatim).
-    """
-    with open(path, "wb") as f:
-        f.write(struct.pack("<QQ", m.rows, m.cols))
-        f.write(m.data.tobytes())
-
-
-def read_binary(path) -> F2Matrix:
-    with open(path, "rb") as f:
-        rows, cols = struct.unpack("<QQ", f.read(16))
-        raw = f.read()
-    words = _n_words(cols)
-    data = np.frombuffer(raw, dtype=np.uint64, count=rows * words).reshape(rows, words)
-    return F2Matrix(rows, cols, data.copy())

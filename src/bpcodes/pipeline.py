@@ -1,7 +1,8 @@
 """End-to-end construction pipeline and on-disk code bundles.
 
 A Recipe names the expander (LPS primes or a plain cycle), the acting
-cyclic subgroup, the local code, and the labeling rule. Building writes
+cyclic subgroup and the local code; edges keep the canonical labeling of
+the graph construction. Building writes
 hx.alist / hz.alist, logical and gauge representatives, and a params.json
 carrying every intermediate quantity; bundles re-validate on load.
 """
@@ -14,8 +15,8 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from .algebra import build_pgl2, is_prime, legendre, unipotent_subgroup
-from .classical import LinearCode, local_code_from_spec
+from .algebra import is_prime, legendre, unipotent_subgroup
+from .classical import local_code_from_spec
 from .errors import BpcodesError, BundleCorrupt, DegreeMismatch, RecipeInvalid
 from .f2la import F2Matrix, rank, read_alist, write_alist
 from .graphs import (
@@ -52,10 +53,8 @@ class Recipe:
     q: int | None = None
     ell: int | None = None  # defaults: q for lps, required for cycle
     local: str = "gv:6,0.1,0"
-    labeling: str = "canonical"
     alpha_ho: float = 0.1
     alpha_co: float = 0.05
-    jobs: int = 1
 
     def validated(self) -> "Recipe":
         if self.graph == "lps":
@@ -104,10 +103,8 @@ class BuildResult:
 def load_registry(path: str) -> dict[str, str]:
     """Named local-code recipes: a JSON object mapping names to spec strings
     (e.g. {"klein-local": "hamming7", "small-random": "gv:6,0.1,0"})."""
-    import json as _json
-
     with open(path) as f:
-        reg = _json.load(f)
+        reg = json.load(f)
     if not isinstance(reg, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in reg.items()
     ):
@@ -145,7 +142,7 @@ def build_instance(recipe: Recipe) -> tuple[TannerComplex, GraphAction, dict]:
         raise DegreeMismatch(
             f"local code length {local.n} differs from graph degree {graph.s}"
         )
-    tanner = build_tanner(graph, local, labeling_note=recipe.labeling)
+    tanner = build_tanner(graph, local, labeling_note="canonical")
     info["n_vertices"] = graph.n
     info["n_edges"] = graph.n_edges
     info["degree"] = graph.s

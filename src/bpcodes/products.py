@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteGroup, GroupAlgebraElem, lift_group_algebra_matrix
-from .complexes import ChainComplex, DoubleComplex, one_complex, total_complex
+from .complexes import ChainComplex, DoubleComplex, _kron, total_complex
 from .errors import (
     ActionInvalid,
     ActionNotChainMap,
@@ -37,7 +37,7 @@ from .errors import (
     NotAutomorphism,
     NotFreeOnBasis,
 )
-from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, rref, solve
+from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, solve
 from .graphs import GraphAction, QuotientData, quotient_graph
 from .tanner import TannerComplex, build_tanner
 
@@ -50,8 +50,8 @@ class ComplexWithAction:
     distinguished basis of every degree.
 
     perms[degree][h] is the permutation (as an index list) for the h-th
-    group element; perms of a product must compose accordingly, and every
-    permutation must commute with the differentials.
+    group element; the table of every degree must be a group action, and
+    every permutation must commute with the differentials.
     """
 
     def __init__(self, cx: ChainComplex, group: FiniteGroup, perms, free: bool = True):
@@ -62,27 +62,23 @@ class ComplexWithAction:
 
     def _validate(self, free: bool) -> None:
         g, cx = self.group, self.complex
+        # balanced products need an abelian group
+        if any(g.mul(a, b) != g.mul(b, a) for a in range(g.order) for b in range(a)):
+            raise ActionInvalid(f"group {g.name} is not abelian")
         for d in cx.degrees():
             if cx.dim(d) == 0:
                 continue
-            if d not in self.perms or len(self.perms[d]) != g.order:
+            table = self.perms.get(d, [])
+            if len(table) != g.order:
                 raise ActionInvalid(f"missing permutations at degree {d}")
-            ident = self.perms[d][g.identity]
-            if ident != list(range(cx.dim(d))):
-                raise ActionInvalid("identity element does not act trivially")
+            if any(len(p) != cx.dim(d) for p in table) or not g.is_action_table(table):
+                raise ActionInvalid(f"permutations at degree {d} are not a group action")
             if free:
                 for h in range(g.order):
                     if h == g.identity:
                         continue
                     if any(self.perms[d][h][i] == i for i in range(cx.dim(d))):
                         raise NotFreeOnBasis(f"fixed basis point at degree {d}")
-        # abelian sanity: generators commute (balanced products need it)
-        for d in self.perms:
-            for h1 in range(min(g.order, 6)):
-                for h2 in range(min(g.order, 6)):
-                    p1, p2 = self.perms[d][h1], self.perms[d][h2]
-                    if [p1[i] for i in p2] != [p2[i] for i in p1]:
-                        raise ActionInvalid("action permutations do not commute")
         for d, m in cx.diffs.items():
             if m.rows == 0 or m.cols == 0:
                 continue
@@ -171,10 +167,13 @@ def balanced_product(left: ComplexWithAction, right: ComplexWithAction) -> Balan
     representatives minimize the left index and cells are ordered
     lexicographically by representative.
     """
-    if left.group.order != right.group.order or left.group.name != right.group.name:
-        if left.group.order != right.group.order:
-            raise DimensionMismatch("factors carry different groups")
-    g = left.group
+    g, gr = left.group, right.group
+    if g is not gr and (
+        g.order != gr.order
+        or g.name != gr.name
+        or any(g.mul(a, b) != gr.mul(a, b) for a in range(g.order) for b in range(g.order))
+    ):
+        raise DimensionMismatch("factors carry different groups")
     cl, cr = left.complex, right.complex
 
     cells: dict[tuple[int, int], BalancedCell] = {}
@@ -449,31 +448,6 @@ def _projection_rank_full(fb: FiberBundleComplex) -> bool:
 # -- lifted products --------------------------------------------------------
 
 
-def kron_group_algebra(
-    a: list[list[GroupAlgebraElem]], b: list[list[GroupAlgebraElem]]
-) -> list[list[GroupAlgebraElem]]:
-    """Kronecker product over GF(2)[Z_ell], left-factor-major."""
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    ell = a[0][0].ell
-    out = [
-        [GroupAlgebraElem.zero(ell) for _ in range(ca * cb)] for _ in range(ra * rb)
-    ]
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = a[i][j].mul(b[k][l])
-    return out
-
-
-def identity_over_group_algebra(n: int, ell: int) -> list[list[GroupAlgebraElem]]:
-    return [
-        [GroupAlgebraElem.one(ell) if i == j else GroupAlgebraElem.zero(ell) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 @dataclass(frozen=True)
 class LiftedProduct:
     """Lifted product of a (m x n) and a (l x k) matrix over GF(2)[Z_ell].
@@ -494,27 +468,27 @@ class LiftedProduct:
 def lifted_product(
     a: list[list[GroupAlgebraElem]], b: list[list[GroupAlgebraElem]]
 ) -> LiftedProduct:
+    """Lifted product of A (m x n) and B (l x k): the lifts of the
+    Kronecker blocks I_n (x) B, A (x) I_k, A (x) I_l and I_m (x) B, built
+    from lift(A) and lift(B) by index arithmetic and stacked directly
+    (not through total_complex), so it stays independent of the other two
+    constructions."""
     if not a or not a[0] or not b or not b[0]:
         raise DimensionMismatch("empty factor matrix")
     ell = a[0][0].ell
-    for row in list(a) + list(b):
-        for e in row:
-            if e.ell != ell:
-                raise DimensionMismatch("mixed cyclic orders")
+    if b[0][0].ell != ell:
+        raise DimensionMismatch("mixed cyclic orders")
     m, n = len(a), len(a[0])
     l, k = len(b), len(b[0])
-    ik = identity_over_group_algebra(k, ell)
-    il = identity_over_group_algebra(l, ell)
-    im = identity_over_group_algebra(m, ell)
-    in_ = identity_over_group_algebra(n, ell)
+    la, lb = lift_group_algebra_matrix(a), lift_group_algebra_matrix(b)
 
-    top = kron_group_algebra(in_, b)  # C1 (x) D1 -> C1 (x) D0
-    bottom = kron_group_algebra(a, ik)  # C1 (x) D1 -> C0 (x) D1
-    left = kron_group_algebra(a, il)  # C1 (x) D0 -> C0 (x) D0
-    right = kron_group_algebra(im, b)  # C0 (x) D1 -> C0 (x) D0
+    top = _kron(F2Matrix.identity(n), lb)  # C1 (x) D1 -> C1 (x) D0
+    bottom = _lift_kron_identity(la, k, ell)  # C1 (x) D1 -> C0 (x) D1
+    left = _lift_kron_identity(la, l, ell)  # C1 (x) D0 -> C0 (x) D0
+    right = _kron(F2Matrix.identity(m), lb)  # C0 (x) D1 -> C0 (x) D0
 
-    d2 = lift_group_algebra_matrix(top).vstack(lift_group_algebra_matrix(bottom))
-    d1 = lift_group_algebra_matrix(left).hstack(lift_group_algebra_matrix(right))
+    d2 = top.vstack(bottom)
+    d1 = left.hstack(right)
     dims = {
         2: n * k * ell,
         1: (n * l + m * k) * ell,
@@ -523,6 +497,18 @@ def lifted_product(
     total = ChainComplex(dims, {2: d2, 1: d1}, check=True)
     return LiftedProduct(
         tuple(tuple(r) for r in a), tuple(tuple(r) for r in b), total
+    )
+
+
+def _lift_kron_identity(lifted: F2Matrix, k: int, ell: int) -> F2Matrix:
+    """lift(A (x) I_k) from lift(A): entry (i*ell + s', j*ell + s) moves to
+    ((i*k + t)*ell + s', (j*k + t)*ell + s) for every t < k."""
+    rows, cols = lifted.nonzeros()
+    t = np.arange(k)
+    out_rows = ((rows // ell)[:, None] * k + t) * ell + (rows % ell)[:, None]
+    out_cols = ((cols // ell)[:, None] * k + t) * ell + (cols % ell)[:, None]
+    return F2Matrix.from_entries(
+        lifted.rows * k, lifted.cols * k, (out_rows.ravel(), out_cols.ravel())
     )
 
 

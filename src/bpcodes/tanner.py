@@ -48,9 +48,6 @@ class TannerComplex:
     def code_dimension(self) -> int:
         return self.complex.homology_dim(1)
 
-    def check_index(self, v: int, i: int) -> int:
-        return v * self.checks_per_vertex + i
-
 
 def build_tanner(
     x: LabeledGraph, local: LinearCode, labeling_note: str = "canonical"
@@ -157,13 +154,12 @@ def check_expansion_theorem7(
     samples: int = 0,
     seed: int = 0,
     lam2: float | None = None,
-    jobs: int = 1,
 ) -> ExpansionReport:
     """Verify |d x| >= beta |x| for all edge chains with |x| <= alpha |X^1|.
 
     Chains up to weight min(alpha |X^1|, exhaustive_cap) are enumerated
     exhaustively; heavier admissible weights are covered by `samples`
-    random chains, fanned out over `jobs` worker processes when asked.
+    random chains drawn from one generator seeded with `seed`.
     """
     if lam2 is None:
         lam2 = second_eigenvalue(t.graph)
@@ -173,7 +169,7 @@ def check_expansion_theorem7(
     max_weight = int(alpha * t.n_edges)
     cols = t.differential()._transposed_data()
     return _expansion_scan(
-        cols, t.n_edges, beta, max_weight, exhaustive_cap, samples, seed, alpha, jobs
+        cols, t.n_edges, beta, max_weight, exhaustive_cap, samples, seed, alpha
     )
 
 
@@ -184,7 +180,6 @@ def check_expansion_theorem8(
     samples: int = 0,
     seed: int = 0,
     lam2: float | None = None,
-    jobs: int = 1,
 ) -> ExpansionReport:
     """Verify |delta y| >= beta |y| for check chains with
     |y| <= alpha |X^0| (s - k_L), using the transposed differential."""
@@ -197,18 +192,18 @@ def check_expansion_theorem8(
     rows = t.differential().row_ints()
     max_weight = int(alpha * m0)
     return _expansion_scan(
-        rows, m0, beta, max_weight, exhaustive_cap, samples, seed, alpha, jobs
+        rows, m0, beta, max_weight, exhaustive_cap, samples, seed, alpha
     )
 
 
-def _scan_exhaustive(columns, n, beta, lo_w, hi_w, first, last):
-    """Worker: combinations of weights lo_w..hi_w, restricted to the slice
-    [first, last) of the leading index (a disjoint partition)."""
+def _scan_exhaustive(columns, n, beta, max_w):
+    """Every chain of weight 1..max_w, by leading index, then weight, then
+    the remaining indices in combination order."""
     violations = 0
     worst = math.inf
     enumerated = 0
-    for lead in range(first, last):
-        for w in range(lo_w, hi_w + 1):
+    for lead in range(n):
+        for w in range(1, max_w + 1):
             for rest in itertools.combinations(range(lead + 1, n), w - 1):
                 img = columns[lead]
                 for j in rest:
@@ -239,7 +234,7 @@ def _scan_samples(columns, n, beta, lo_w, hi_w, count, seed):
             worst = min(worst, ratio)
             if out < beta * w - 1e-9:
                 violations += 1
-    return count, violations, worst
+    return violations, worst
 
 
 def _expansion_scan(
@@ -251,48 +246,16 @@ def _expansion_scan(
     samples: int,
     seed: int,
     alpha: float,
-    jobs: int = 1,
 ) -> ExpansionReport:
     exh = min(max_weight, exhaustive_cap)
-    tasks = []
-    if exh >= 1:
-        if jobs > 1:
-            bounds = np.linspace(0, n, jobs + 1).astype(int)
-            for w0, w1 in zip(bounds[:-1], bounds[1:]):
-                tasks.append(("exh", (columns, n, beta, 1, exh, int(w0), int(w1))))
-        else:
-            tasks.append(("exh", (columns, n, beta, 1, exh, 0, n)))
-    do_samples = samples if max_weight > exh else 0
-    if do_samples:
-        if jobs > 1:
-            seeds = np.random.SeedSequence(seed).spawn(jobs)
-            share = [do_samples // jobs] * jobs
-            share[0] += do_samples - sum(share)
-            for cnt, ss in zip(share, seeds):
-                if cnt:
-                    tasks.append(("smp", (columns, n, beta, exh + 1, max_weight, cnt, ss)))
-        else:
-            tasks.append(("smp", (columns, n, beta, exh + 1, max_weight, do_samples, seed)))
-
-    results = []
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [
-                pool.submit(_scan_exhaustive if kind == "exh" else _scan_samples, *args)
-                for kind, args in tasks
-            ]
-            results = [f.result() for f in futs]
-    else:
-        for kind, args in tasks:
-            fn = _scan_exhaustive if kind == "exh" else _scan_samples
-            results.append(fn(*args))
-
-    enumerated = sum(r[0] for r, (k, _) in zip(results, tasks) if k == "exh")
-    sampled = sum(r[0] for r, (k, _) in zip(results, tasks) if k == "smp")
-    violations = sum(r[1] for r in results)
-    worst = min((r[2] for r in results), default=math.inf)
+    enumerated, violations, worst = (
+        _scan_exhaustive(columns, n, beta, exh) if exh >= 1 else (0, 0, math.inf)
+    )
+    sampled = samples if max_weight > exh else 0
+    if sampled:
+        more, low = _scan_samples(columns, n, beta, exh + 1, max_weight, sampled, seed)
+        violations += more
+        worst = min(worst, low)
     return ExpansionReport(
         alpha=alpha,
         beta_formula=beta,

@@ -13,15 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GroupAlgebraElem, build_pgl2, legendre, unipotent_subgroup
-from .classical import (
-    binary_entropy,
-    dual_code,
-    exact_distance,
-    gv_plus_search,
-    hamming_7_4,
-    repetition_code,
-)
+from .algebra import GroupAlgebraElem, legendre, unipotent_subgroup
+from .classical import binary_entropy, exact_distance, gv_plus_search, repetition_code
 from .complexes import (
     ChainComplex,
     cycle_graph_complex,
@@ -98,9 +91,9 @@ def toy_instance():
 
 
 @lru_cache(maxsize=None)
-def lps_instance(p: int = 5, q: int = 13, local: str = "gv"):
-    from .classical import gv_plus_search
-
+def lps_instance(p: int = 5, q: int = 13):
+    """LPS(p, q) with the unipotent Z_q action and the seed-0 random
+    [p+1, k] local code."""
     graph, group, gens = lps_graph(p, q)
     sub = unipotent_subgroup(group)
     action = cayley_right_action(graph, group, gens, sub)
@@ -415,7 +408,6 @@ def _random_free_cyclic_complex(rng, ell: int, side: str) -> ComplexWithAction:
     """Lift of a random matrix over GF(2)[Z_ell]: the cyclic group permutes
     the circulant blocks, acting freely on every basis."""
     from .algebra import cyclic_group, lift_group_algebra_matrix
-    from .complexes import one_complex
 
     rows = int(rng.integers(1, 4))
     cols = int(rng.integers(1, 4))

@@ -13,9 +13,10 @@ from bpcodes.algebra import (
     circulant_lift,
     cyclic_group,
     legendre,
+    lift_group_algebra_matrix,
     unipotent_subgroup,
 )
-from bpcodes.errors import InvalidModulus, NotPGL
+from bpcodes.errors import DimensionMismatch, InvalidModulus, NotPGL
 from bpcodes.f2la import F2Matrix
 
 
@@ -112,6 +113,40 @@ def test_circulant_lift_ring_homomorphism_exhaustive():
             x, y = GroupAlgebraElem(ell, cx), GroupAlgebraElem(ell, cy)
             assert circulant_lift(x.mul(y)) == circulant_lift(x).matmul(circulant_lift(y))
             assert circulant_lift(x.add(y)) == circulant_lift(x).add(circulant_lift(y))
+
+
+def _lift_reference(entries):
+    """Entry-by-entry blockwise circulant lift: bit k of entry (i, j) puts
+    ones at (i*ell + (s + k) % ell, j*ell + s) for every s."""
+    ell = entries[0][0].ell
+    ones = []
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            for k in range(ell):
+                if (e.coeffs >> k) & 1:
+                    for s in range(ell):
+                        ones.append((i * ell + (s + k) % ell, j * ell + s))
+    return F2Matrix.from_entries(len(entries) * ell, len(entries[0]) * ell, ones)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lift_matches_entrywise_reference(data):
+    ell = data.draw(st.sampled_from([1, 2, 3, 6, 13, 61, 62, 63, 64, 70]))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = [
+        [GroupAlgebraElem(ell, data.draw(st.integers(0, (1 << ell) - 1))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    assert lift_group_algebra_matrix(entries) == _lift_reference(entries)
+
+
+def test_lift_rejects_ragged_and_mixed_matrices():
+    one3 = GroupAlgebraElem.one(3)
+    with pytest.raises(DimensionMismatch):
+        lift_group_algebra_matrix([[one3], [one3, one3]])
+    with pytest.raises(DimensionMismatch):
+        lift_group_algebra_matrix([[one3, GroupAlgebraElem.one(5)]])
 
 
 def test_gf2m_field_axioms_m4():

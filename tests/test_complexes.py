@@ -165,16 +165,6 @@ def test_euler_characteristic(seed):
     assert verify_euler(tensor_complex(c, d))
 
 
-def test_json_roundtrip(tmp_path):
-    c = tensor_complex(cycle_graph_complex(3), cycle_graph_complex(4))
-    path = tmp_path / "complex.json"
-    c.save_json(path)
-    c2 = ChainComplex.load_json(path)
-    assert c2.dims == c.dims
-    for i in c.diffs:
-        assert c2.diffs[i] == c.diffs[i]
-
-
 def test_shift():
     c = cycle_graph_complex(3).shift(2)
     assert c.homology_dim(3) == 1 and c.homology_dim(2) == 1

@@ -14,12 +14,10 @@ from bpcodes.f2la import (
     quotient_dim,
     rank,
     read_alist,
-    read_binary,
     row_space,
     rref,
     solve,
     write_alist,
-    write_binary,
 )
 
 HAMMING_CHECK = [
@@ -136,14 +134,6 @@ def test_alist_roundtrip(tmp_path):
     write_alist(m, path)
     assert read_alist(path) == m
     assert alist_loads(alist_dumps(m)) == m
-
-
-def test_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    m = random_matrix(rng, 11, 130)
-    path = tmp_path / "m.bin"
-    write_binary(m, path)
-    assert read_binary(path) == m
 
 
 def test_rref_pivots_lowest_columns():

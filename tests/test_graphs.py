@@ -253,6 +253,39 @@ def test_rotation_action_requires_divisor():
         cycle_rotation_action(cycle_labeled_graph(9), 4)
 
 
+def test_graph_action_table_must_be_an_action():
+    """Even and odd vertices form two separate 18-cycles. Z_3 rotates the
+    even cycle by r^h but the odd one by [id, r, r], which breaks
+    perm[1] o perm[1] == perm[2] only on odd vertices."""
+    from bpcodes.errors import NotFree
+
+    m = 18
+
+    def vid(i, parity):
+        return 2 * (i % m) + parity
+
+    edges, labels = [], []
+    for parity in (0, 1):
+        for i in range(m):
+            a, b = vid(i, parity), vid(i + 1, parity)
+            edges.append((min(a, b), max(a, b)))
+            labels.append((1, 0) if a < b else (0, 1))
+    graph = LabeledGraph(2 * m, edges, labels, 2)
+    edge_index = {e: k for k, e in enumerate(graph.edges)}
+
+    def tables(steps):
+        vperms = [[vid(v // 2 + s[v % 2], v % 2) for v in range(2 * m)] for s in steps]
+        eperms = [
+            [edge_index[tuple(sorted((vp[u], vp[v])))] for u, v in graph.edges] for vp in vperms
+        ]
+        return vperms, eperms
+
+    z3 = cyclic_group(3)
+    GraphAction(graph, z3, *tables([(6 * h, 6 * h) for h in range(3)]))
+    with pytest.raises(NotFree):
+        GraphAction(graph, z3, *tables([(6 * h, 6 * min(h, 1)) for h in range(3)]))
+
+
 # -- quotient condition -------------------------------------------------------
 
 
@@ -308,14 +341,3 @@ def test_coset_graph_degenerate_rejected():
     z5 = cyclic_group(5)
     with pytest.raises(IncidenceDegenerate):
         find_rotation_pair(z5, 3, 7)
-
-
-# -- edge list io -------------------------------------------------------------
-
-
-def test_edge_list_roundtrip(tmp_path):
-    g = cycle_labeled_graph(7)
-    path = tmp_path / "g.edges"
-    g.save_edge_list(path)
-    g2 = LabeledGraph.load_edge_list(path)
-    assert g2.edges == g.edges and g2.labels == g.labels and g2.s == g.s

@@ -95,6 +95,14 @@ def test_cli_invalid_recipe_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--labeling", "search"]])
+def test_cli_build_rejects_removed_flags(tmp_path, capsys, flag):
+    argv = ["build", "--graph", "cycle:9", "--ell", "3", "--local", "rep:2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_cli_cap_exit_code(tmp_path, capsys):
     rc = main(["build", "--p", "401", "--q", "997", "--out", str(tmp_path)])
     assert rc in (2, 3)

@@ -1,11 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bpcodes.algebra import GroupAlgebraElem, cyclic_group
+from bpcodes.algebra import (
+    FiniteGroup,
+    GroupAlgebraElem,
+    cyclic_group,
+    lift_group_algebra_matrix,
+)
 from bpcodes.classical import repetition_code
 from bpcodes.complexes import cycle_graph_complex, one_complex, tensor_complex
 from bpcodes.errors import (
     ActionInvalid,
+    DimensionMismatch,
     EvenOrder,
     IncidenceMissing,
     NotAutomorphism,
@@ -163,6 +173,47 @@ def test_balanced_rejects_nonfree_left():
         ComplexWithAction(c, grp, perms, free=True)
 
 
+def test_action_table_must_be_a_homomorphism():
+    """[id, s, s] on Z_3: every permutation is fixed-point free and commutes
+    with the differential, but s o s != s."""
+    cx = cycle_graph_complex(3)
+    s = [1, 2, 0]
+    with pytest.raises(ActionInvalid):
+        ComplexWithAction(cx, cyclic_group(3), {d: [[0, 1, 2], s, s] for d in (0, 1)})
+
+
+def test_action_group_must_be_abelian():
+    perms = list(itertools.permutations(range(3)))
+    s3 = FiniteGroup(perms, lambda x, y: tuple(x[i] for i in y), name="S_3")
+    regular = [[s3.mul(h, x) for x in range(6)] for h in range(6)]
+    cx = one_complex(F2Matrix.identity(6))
+    with pytest.raises(ActionInvalid):
+        ComplexWithAction(cx, s3, {1: regular, 0: regular})
+
+
+def test_balanced_rejects_group_with_other_name():
+    left = cycle_complex_with_action(3)
+    c3 = FiniteGroup(range(3), lambda a, b: (a + b) % 3, name="C_3")
+    right = ComplexWithAction(cycle_graph_complex(3), c3, left.perms)
+    with pytest.raises(DimensionMismatch):
+        balanced_product(left, right)
+
+
+def test_balanced_rejects_group_with_other_table():
+    left = cycle_complex_with_action(4)
+    klein4 = FiniteGroup(range(4), lambda a, b: a ^ b, name=left.group.name)
+    regular = [[h ^ x for x in range(4)] for h in range(4)]
+    right = ComplexWithAction(one_complex(F2Matrix.identity(4)), klein4, {1: regular, 0: regular})
+    with pytest.raises(DimensionMismatch):
+        balanced_product(left, right)
+
+
+def test_balanced_accepts_equal_groups_built_twice():
+    left = cycle_complex_with_action(3)
+    right = ComplexWithAction(cycle_graph_complex(3), cyclic_group(3), left.perms)
+    assert balanced_product(left, right).total.dims == {2: 3, 1: 6, 0: 3}
+
+
 def test_balanced_rejects_non_chain_action():
     grp = cyclic_group(2)
     d = F2Matrix.from_dense([[1, 0], [0, 0]])
@@ -191,6 +242,71 @@ def test_lifted_ell_1_is_plain_hypergraph_product():
     assert {i: lp.total.dim(i) for i in lp.total.degrees()} == {0: 2, 1: 4, 2: 2}
     d1 = lp.total.differential(1).to_dense()
     assert d1[:, :2].tolist() == [[1, 0], [1, 1]]  # the A block survives verbatim
+
+
+def _kron_reference(a, b):
+    """Kronecker product over GF(2)[Z_ell], left-factor-major, one
+    GroupAlgebraElem per entry."""
+    ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
+    ell = a[0][0].ell
+    out = [[GroupAlgebraElem.zero(ell) for _ in range(ca * cb)] for _ in range(ra * rb)]
+    for i in range(ra):
+        for j in range(ca):
+            for k in range(rb):
+                for l in range(cb):
+                    out[i * rb + k][j * cb + l] = a[i][j].mul(b[k][l])
+    return out
+
+
+def _identity_reference(n, ell):
+    return [
+        [GroupAlgebraElem.one(ell) if i == j else GroupAlgebraElem.zero(ell) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _lifted_reference(a, b):
+    """(d2, d1, dims) of the lifted product through the four Kronecker
+    products over the group algebra, each lifted as a whole matrix (the lift
+    itself is checked against an entry-by-entry loop in test_algebra)."""
+    ell = a[0][0].ell
+    m, n, l, k = len(a), len(a[0]), len(b), len(b[0])
+    lift = lift_group_algebra_matrix
+    top = lift(_kron_reference(_identity_reference(n, ell), b))
+    bottom = lift(_kron_reference(a, _identity_reference(k, ell)))
+    left = lift(_kron_reference(a, _identity_reference(l, ell)))
+    right = lift(_kron_reference(_identity_reference(m, ell), b))
+    dims = {2: n * k * ell, 1: (n * l + m * k) * ell, 0: m * l * ell}
+    return top.vstack(bottom), left.hstack(right), dims
+
+
+@st.composite
+def group_algebra_pair(draw):
+    ell = draw(st.integers(1, 6))
+
+    def matrix(rows, cols):
+        masks = draw(st.lists(st.integers(0, (1 << ell) - 1), min_size=rows * cols, max_size=rows * cols))
+        return [[GroupAlgebraElem(ell, masks[r * cols + c]) for c in range(cols)] for r in range(rows)]
+
+    a = matrix(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    b = matrix(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_algebra_pair())
+def test_lifted_product_matches_kronecker_reference(pair):
+    a, b = pair
+    d2, d1, dims = _lifted_reference(a, b)
+    tot = lifted_product(a, b).total
+    assert tot.dims == dims
+    assert tot.differential(2) == d2
+    assert tot.differential(1) == d1
+
+
+def test_lifted_product_rejects_mixed_orders():
+    with pytest.raises(DimensionMismatch):
+        lifted_product([[GroupAlgebraElem.one(3)]], [[GroupAlgebraElem.one(5)]])
 
 
 def test_circle_product_matches_lifted_tanner(toy):

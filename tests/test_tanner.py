@@ -144,15 +144,6 @@ def test_labeling_recorded():
     assert t.labeling_note == "test-tag"
 
 
-def test_expansion_scan_parallel_matches_serial():
-    kt = klein_tanner_code()
-    serial = check_expansion_theorem7(kt, alpha=0.05, exhaustive_cap=2)
-    parallel = check_expansion_theorem7(kt, alpha=0.05, exhaustive_cap=2, jobs=2)
-    assert serial.n_enumerated == parallel.n_enumerated
-    assert serial.violations == parallel.violations == 0
-    assert abs(serial.worst_ratio - parallel.worst_ratio) < 1e-12
-
-
 def test_tanner_report(tmp_path):
     from bpcodes.tanner import export_tanner_alist, tanner_report
 
