@@ -31,7 +31,7 @@ from .f2la import (
     kernel_basis,
     rank,
     rref,
-    solve,
+    solve_matrix,
 )
 
 
@@ -367,18 +367,13 @@ def _induced_map(e: DoubleComplex, q: int, vert) -> F2Matrix:
     src: HomologyBasis = vert[(1, q)]
     dst: HomologyBasis = vert[(0, q)]
     h = e.hdiff(1, q)
-    cols: list[int] = []
-    # coordinates of [h z] against (dst reps | dst boundaries)
+    # coordinates of [h z] against (dst reps | dst boundaries), one column
+    # per source representative z
     dst_matrix = dst.cycle_reps.basis.vstack(dst.boundary_space.basis).transpose()
-    for z in src.cycle_reps.basis.row_ints():
-        img = h.mul_vec_int(z)
-        x = solve(dst_matrix, img)
-        if x is None:
-            raise KunnethViolation("induced horizontal image is not a cycle")
-        cols.append(x & ((1 << dst.dim) - 1))
-    if not cols:
-        return F2Matrix.zeros(dst.dim, 0)
-    return F2Matrix.from_rows(cols, dst.dim).transpose()
+    x = solve_matrix(dst_matrix, h.matmul(src.cycle_reps.basis.transpose()))
+    if x is None:
+        raise KunnethViolation("induced horizontal image is not a cycle")
+    return x.submatrix_rows(np.arange(dst.dim))
 
 
 def verify_euler(c: ChainComplex) -> bool:

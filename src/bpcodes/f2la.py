@@ -8,7 +8,13 @@ on those words and on the ``(row, col)`` int64 index arrays returned by
 cost follows the number of nonzero words and entries, never rows x cols.
 ``to_dense``/``from_dense`` convert small matrices to and from 0/1 arrays.
 
-Gaussian elimination always pivots on the lowest-index nonzero column so
+Elimination (``rank``, ``rref``, ``kernel_basis``, ``solve``,
+``solve_matrix``) runs on rows held as Python-int bitsets: a forward pass
+through ``IncrementalSpan`` pivots each row on its lowest set bit, and
+one back-substitution pass yields the reduced echelon form. Its cost
+follows the ones the rows carry, which stays low on sparse LDPC
+differentials; large dense matrices are slower than a word-parallel
+elimination would be. Pivots are the lowest-index nonzero columns, so
 ranks, kernels and solutions are bit-reproducible across runs.
 
 Also provides the MacKay "alist" sparse text format, in which code
@@ -35,6 +41,7 @@ from .errors import (
 
 _WORD = 64
 _ONE = np.uint64(1)
+_GATHER_WORDS = 1 << 18  # words of the temporary in one matmul gather (2 MB)
 
 
 def _n_words(cols: int) -> int:
@@ -97,15 +104,16 @@ class F2Matrix:
     @staticmethod
     def from_rows(int_rows: list[int], cols: int) -> "F2Matrix":
         """Build from Python ints used as little-endian bitsets."""
-        rows = len(int_rows)
-        width = _n_words(cols) * 8
-        data = np.zeros((rows, width), dtype=np.uint8)
         for i, r in enumerate(int_rows):
             if r < 0 or (cols < r.bit_length()):
                 raise DimensionMismatch(f"row {i} does not fit in {cols} columns")
-            b = r.to_bytes(width, "little")
-            data[i] = np.frombuffer(b, dtype=np.uint8)
-        return F2Matrix(rows, cols, data.view(np.uint64))
+        width = _n_words(cols) * 8
+        # fill one buffer row by row: no list of per-row byte strings
+        raw = bytearray(len(int_rows) * width)
+        for i, r in enumerate(int_rows):
+            raw[i * width : (i + 1) * width] = r.to_bytes(width, "little")
+        data = np.frombuffer(raw, dtype=np.uint64).reshape(len(int_rows), width // 8)
+        return F2Matrix(len(int_rows), cols, data)
 
     @staticmethod
     def from_entries(rows: int, cols: int, ones) -> "F2Matrix":
@@ -206,7 +214,16 @@ class F2Matrix:
         r, c = self.nonzeros()
         if len(r):
             starts = np.flatnonzero(np.diff(r, prepend=-1))
-            out[r[starts]] = np.bitwise_xor.reduceat(other.data[c], starts, axis=0)
+            # gather other's rows for whole rows of self, about _GATHER_WORDS
+            # words at a time, so the temporary stays small on big products
+            per = max(1, _GATHER_WORDS // other.data.shape[1])
+            cuts = np.flatnonzero(np.diff(starts // per, prepend=-1)).tolist() + [len(starts)]
+            bounds = starts.tolist() + [len(r)]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                lo, hi = bounds[a], bounds[b]
+                out[r[starts[a:b]]] = np.bitwise_xor.reduceat(
+                    other.data[c[lo:hi]], starts[a:b] - lo, axis=0
+                )
         return F2Matrix(self.rows, other.cols, out)
 
     def mul_vec_int(self, x: int) -> int:
@@ -255,49 +272,38 @@ class F2Matrix:
         return F2Matrix.from_entries(self.rows, self.cols, (rp[r], cp[c]))
 
 
-def _echelonize(data: np.ndarray, cols: int) -> tuple[np.ndarray, list[int]]:
-    """In-place row echelon form; returns (data, pivot column list).
+def _reduced_rows(rows) -> tuple[list[int], list[int]]:
+    """Reduced echelon form of bitset rows: the nonzero rows by ascending
+    pivot, and their pivots (each row's lowest set bit).
 
-    Pivots are chosen at the lowest-index nonzero column, eliminating both
-    above and below (reduced form), so output is canonical.
+    A forward pass inserts every row into an ``IncrementalSpan``; one
+    back-substitution pass from the highest pivot down then clears, in
+    each row, the pivot bits of the rows above it.
     """
-    rows = data.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for j in range(cols):
-        if r >= rows:
-            break
-        w, b = j // _WORD, np.uint64(j % _WORD)
-        colbits = (data[r:, w] >> b) & np.uint64(1)
-        hit = np.nonzero(colbits)[0]
-        if len(hit) == 0:
-            continue
-        p = r + int(hit[0])
-        if p != r:
-            data[[r, p]] = data[[p, r]]
-        mask = (data[:, w] >> b) & np.uint64(1)
-        mask[r] = 0
-        sel = np.nonzero(mask)[0]
-        if len(sel):
-            data[sel] ^= data[r]
-        pivots.append(j)
-        r += 1
-    return data, pivots
+    echelon = IncrementalSpan(rows).pivots
+    pivots = sorted(echelon)
+    done = 0  # mask of the pivots whose rows are already reduced
+    for p in reversed(pivots):
+        v = echelon[p]
+        hits = v & done
+        while hits:
+            low = hits & -hits
+            v ^= echelon[low.bit_length() - 1]
+            hits ^= low
+        echelon[p] = v
+        done |= 1 << p
+    return [echelon[p] for p in pivots], pivots
 
 
 def rank(m: F2Matrix) -> int:
     """Rank over GF(2)."""
-    work = m.data.copy()
-    _, pivots = _echelonize(work, m.cols)
-    return len(pivots)
+    return IncrementalSpan(m.row_int(i) for i in range(m.rows)).dim
 
 
 def rref(m: F2Matrix) -> tuple[F2Matrix, list[int]]:
     """Reduced row echelon form and the pivot columns (zero rows dropped)."""
-    work = m.data.copy()
-    work, pivots = _echelonize(work, m.cols)
-    out = F2Matrix(len(pivots), m.cols, work[: len(pivots)].copy())
-    return out, pivots
+    rows, pivots = _reduced_rows(m.row_int(i) for i in range(m.rows))
+    return F2Matrix.from_rows(rows, m.cols), pivots
 
 
 @dataclass(frozen=True)
@@ -367,6 +373,20 @@ def quotient_dim(z: F2Subspace, b: F2Subspace) -> int:
     return z.dim - b.dim
 
 
+def _solve_rows(m: F2Matrix, rhs_rows: list[int]) -> dict[int, int] | None:
+    """Eliminate [M | RHS] once; RHS row i is the bitset ``rhs_rows[i]``.
+
+    Returns, for each pivot column p of M, row p of the solution X (a
+    bitset over the right-hand columns; every free variable is zero), or
+    None when a row with an all-zero M part keeps a right-hand bit.
+    """
+    shift = m.cols
+    rows, pivots = _reduced_rows(m.row_int(i) | (rhs_rows[i] << shift) for i in range(m.rows))
+    if pivots and pivots[-1] >= shift:
+        return None
+    return {p: v >> shift for p, v in zip(pivots, rows)}
+
+
 def solve(m: F2Matrix, b: int) -> int | None:
     """Any x with Mx = b (b, x as bitset ints), or None when unsolvable.
 
@@ -375,37 +395,21 @@ def solve(m: F2Matrix, b: int) -> int | None:
     """
     if b >> m.rows:
         raise DimensionMismatch("right-hand side longer than row count")
-    # augment with b as column m.cols
-    w, mask = m.cols // _WORD, _ONE << np.uint64(m.cols % _WORD)
-    aug = np.zeros((m.rows, _n_words(m.cols + 1)), dtype=np.uint64)
-    aug[:, : m.data.shape[1]] = m.data
-    b_bits = np.unpackbits(
-        np.frombuffer(b.to_bytes((m.rows + 7) // 8, "little"), dtype=np.uint8),
-        bitorder="little",
-        count=m.rows,
-    )
-    aug[b_bits.astype(bool), w] |= mask
-    r, pivots = rref(F2Matrix(m.rows, m.cols + 1, aug))
-    if pivots and pivots[-1] == m.cols:
+    sol = _solve_rows(m, [(b >> i) & 1 for i in range(m.rows)])
+    if sol is None:
         return None
-    x = 0
-    for p in np.asarray(pivots, dtype=np.int64)[(r.data[:, w] & mask) != 0].tolist():
-        x |= 1 << p
-    return x
+    return sum(1 << p for p, bit in sol.items() if bit)
 
 
 def solve_matrix(m: F2Matrix, rhs: F2Matrix) -> F2Matrix | None:
-    """Solve M X = RHS column-by-column; None if any column is unsolvable."""
+    """Solve M X = RHS in one elimination of [M | RHS]; None if any column
+    is unsolvable. Free variables are zero, as in ``solve``."""
     if rhs.rows != m.rows:
         raise DimensionMismatch("rhs row count mismatch")
-    cols = []
-    rhs_t = rhs.transpose()
-    for j in range(rhs.cols):
-        x = solve(m, rhs_t.row_int(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return F2Matrix.from_rows(cols, m.cols).transpose()
+    sol = _solve_rows(m, rhs.row_ints())
+    if sol is None:
+        return None
+    return F2Matrix.from_rows([sol.get(j, 0) for j in range(m.cols)], rhs.cols)
 
 
 class IncrementalSpan:

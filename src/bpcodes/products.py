@@ -37,7 +37,7 @@ from .errors import (
     NotAutomorphism,
     NotFreeOnBasis,
 )
-from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, solve
+from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, solve, solve_matrix
 from .graphs import GraphAction, QuotientData, quotient_graph
 from .tanner import TannerComplex, build_tanner
 
@@ -393,7 +393,7 @@ def _connection_trivial_on_homology(fb: FiberBundleComplex) -> bool:
     f = fb.fiber
     h1 = f.homology_basis(1)
     h0 = f.homology_basis(0)
-    bounds0 = h0.boundary_space.basis
+    bounds0_t = h0.boundary_space.basis.transpose()
     for aut in fb.connection.values():
         for z in h1.cycle_reps.basis.row_ints():
             if aut.deg1.mul_vec_int(z) != z:
@@ -402,7 +402,7 @@ def _connection_trivial_on_homology(fb: FiberBundleComplex) -> bool:
                 return False
         for z in h0.cycle_reps.basis.row_ints():
             diff = aut.deg0.mul_vec_int(z) ^ z
-            if diff and solve(bounds0.transpose(), diff) is None:
+            if diff and solve(bounds0_t, diff) is None:
                 return False
     return True
 
@@ -434,15 +434,12 @@ def _projection_rank_full(fb: FiberBundleComplex) -> bool:
                 img ^= 1 << (bit // nf0)
         imgs.append(img)
     # coordinates in H_1(B): cycles in a 1-complex have no boundaries
-    coords = []
-    basis_t = base_h1.cycle_reps.basis.transpose()
-    for img in imgs:
-        x = solve(basis_t, img)
-        if x is None:
-            return False
-        coords.append(x)
-    mat = F2Matrix.from_rows(coords, base_h1.dim)
-    return rank(mat) == base_h1.dim == tot.homology_dim(1)
+    coords = solve_matrix(
+        base_h1.cycle_reps.basis.transpose(), F2Matrix.from_rows(imgs, b.dim(1)).transpose()
+    )
+    if coords is None:
+        return False
+    return rank(coords) == base_h1.dim == tot.homology_dim(1)
 
 
 # -- lifted products --------------------------------------------------------
@@ -795,23 +792,15 @@ def homology_split(inst: CircleProductInstance, with_projections: bool = True) -
     u_keys = maps[(1, 0)]  # balanced u-basis -> canonical (edge, shift)
 
     # fiber sum: n_base_edges x n1, supported on the u block
-    ones = [(int(key) // ell, o) for o, key in enumerate(u_keys)]
-    fiber_sum = F2Matrix.from_entries(n_base_edges, n1, ones)
+    fiber_sum = F2Matrix.from_entries(
+        n_base_edges, n1, (u_keys // ell, np.arange(len(u_keys), dtype=np.int64))
+    )
 
-    # iota: lift each base codeword to every fiber shift (u block only)
-    lift_cols: dict[int, list[int]] = {}
-    for o, key in enumerate(u_keys):
-        lift_cols.setdefault(int(key) // ell, []).append(o)
-    iota_rows = []
-    for r in range(base_code.rows):
-        w = base_code.row_int(r)
-        chain = 0
-        for e_base in range(n_base_edges):
-            if (w >> e_base) & 1:
-                for o in lift_cols[e_base]:
-                    chain |= 1 << o
-        iota_rows.append(chain)
-    iota = F2Matrix.from_rows(iota_rows, n1)
+    # iota: lift each base codeword to every fiber shift (u block only); each
+    # u-basis element lies over exactly one base edge, so this is the
+    # codeword times the fiber-sum incidence
+    iota = base_code.matmul(fiber_sum)
+    iota_rows = iota.row_ints()
 
     # boundary space at degree 1; the full homology basis only when asked
     bounds = tot.boundary_space(1).basis
@@ -824,13 +813,9 @@ def homology_split(inst: CircleProductInstance, with_projections: bool = True) -
     # vertical candidates: constant-fiber check chains, placed after the u block
     c = inst.tanner.checks_per_vertex
     check_keys = maps.get((0, 1), np.zeros(0, dtype=np.int64))
-    v_candidates = []
-    for base_check in range(qd.base.n * c):
-        chain = 0
-        for o, key in enumerate(check_keys):
-            if int(key) // ell == base_check:
-                chain |= 1 << (u_dim + o)
-        v_candidates.append(chain)
+    v_candidates = F2Matrix.from_entries(
+        qd.base.n * c, n1, (check_keys // ell, u_dim + np.arange(len(check_keys)))
+    ).row_ints()
 
     # choose vertical classes extending (boundaries + horizontal classes)
     span = IncrementalSpan(bounds.row_ints() + iota_rows)
@@ -859,45 +844,20 @@ def homology_split(inst: CircleProductInstance, with_projections: bool = True) -
             p_v=F2Matrix.zeros(v_reps.rows, 0),
         )
 
-    # projections in the chosen homology coordinates
-    base_code_t = base_code.transpose()
-    ph_cols = []
-    for r in range(reps.rows):
-        img = fiber_sum.mul_vec_int(reps.row_int(r))
-        x = solve(base_code_t, img)
-        if x is None:
-            raise KunnethViolation("fiber sum of a cycle is not a base codeword")
-        ph_cols.append(x)
-    p_h = (
-        F2Matrix.from_rows(ph_cols, base_code.rows).transpose()
-        if reps.rows
-        else F2Matrix.zeros(base_code.rows, 0)
-    )
+    # projections in the chosen homology coordinates: column r of p_h
+    # solves base_code^T x = fiber_sum(rep r)
+    reps_t = reps.transpose()
+    p_h = solve_matrix(base_code.transpose(), fiber_sum.matmul(reps_t))
+    if p_h is None:
+        raise KunnethViolation("fiber sum of a cycle is not a base codeword")
 
     # vertical coordinates: solve against (v_reps | boundaries) after removing
     # the horizontal component
-    solver = (
-        v_reps.vstack(bounds).transpose()
-        if v_reps.rows + bounds.rows
-        else F2Matrix.zeros(n1, 0)
-    )
-    pv_cols = []
-    for r in range(reps.rows):
-        z = reps.row_int(r)
-        hcoord = p_h.transpose().row_int(r) if p_h.cols else 0
-        residue = z
-        for i in range(base_code.rows):
-            if (hcoord >> i) & 1:
-                residue ^= iota.row_int(i)
-        x = solve(solver, residue)
-        if x is None:
-            raise KunnethViolation("residue class is not vertical modulo boundaries")
-        pv_cols.append(x & ((1 << v_reps.rows) - 1))
-    p_v = (
-        F2Matrix.from_rows(pv_cols, v_reps.rows).transpose()
-        if reps.rows
-        else F2Matrix.zeros(v_reps.rows, 0)
-    )
+    residues = reps_t.add(iota.transpose().matmul(p_h))
+    x = solve_matrix(v_reps.vstack(bounds).transpose(), residues)
+    if x is None:
+        raise KunnethViolation("residue class is not vertical modulo boundaries")
+    p_v = x.submatrix_rows(np.arange(v_reps.rows))
 
     return HomologySplit(
         middle_dim=n1,

@@ -24,7 +24,7 @@ from .complexes import (
     tensor_double_complex,
     verify_kunneth,
 )
-from .f2la import F2Matrix, rank
+from .f2la import F2Matrix, rank, solve_matrix
 from .graphs import (
     cayley_right_action,
     check_quotient_condition,
@@ -398,8 +398,6 @@ def _random_invertible(rng, n: int):
         m = F2Matrix.from_dense(rng.integers(0, 2, (n, n)))
         if rank(m) == n:
             break
-    from .f2la import solve_matrix
-
     inv = solve_matrix(m, F2Matrix.identity(n))
     return m, inv
 
@@ -450,29 +448,21 @@ def _balanced_kunneth_rhs(left: ComplexWithAction, right: ComplexWithAction, n: 
 
 def _homology_with_action(cwa: ComplexWithAction, d: int):
     """(dim H_d, induced action matrices per group element)."""
-    from .f2la import solve
-
     basis = cwa.complex.homology_basis(d)
     reps = basis.cycle_reps.basis
     k = reps.rows
     if k == 0:
         return 0, []
     solver = reps.vstack(basis.boundary_space.basis).transpose()
+    keep = np.arange(k)
     mats = []
     for h in range(cwa.group.order):
-        perm = cwa.perms[d][h]
-        cols = []
-        for r in range(k):
-            z = reps.row_int(r)
-            img = 0
-            for bit in range(cwa.complex.dim(d)):
-                if (z >> bit) & 1:
-                    img |= 1 << perm[bit]
-            x = solve(solver, img)
-            if x is None:
-                raise AssertionError("action image is not a cycle class")
-            cols.append(x & ((1 << k) - 1))
-        mats.append(F2Matrix.from_rows(cols, k).transpose())
+        # column r: the image of rep r under h, solved against (reps | boundaries)
+        images = reps.permuted(keep, cwa.perms[d][h]).transpose()
+        x = solve_matrix(solver, images)
+        if x is None:
+            raise AssertionError("action image is not a cycle class")
+        mats.append(x.submatrix_rows(keep))
     return k, mats
 
 
@@ -484,11 +474,12 @@ def _quotient_tensor_dim(kl, al, kr, ar, group) -> int:
     span = IncrementalSpan()
     rels = 0
     for h in range(group.order):
-        ml, mr = al[h], ar[h]
+        # column i of al[h] is the image of v_i; likewise for ar[h]
+        ml_cols, mr_cols = al[h].transpose().row_ints(), ar[h].transpose().row_ints()
         for i in range(kl):
-            vi_img = ml.transpose().row_int(i)  # column i of ml = image of v_i
+            vi_img = ml_cols[i]
             for j in range(kr):
-                wj_img = mr.transpose().row_int(j)
+                wj_img = mr_cols[j]
                 vec = 0
                 for a in range(kl):
                     if (vi_img >> a) & 1:

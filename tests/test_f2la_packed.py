@@ -1,11 +1,12 @@
-"""Packed-word and index-array primitives of f2la checked against dense
-numpy references, and the strict alist parser."""
+"""Packed-word and index-array primitives and the elimination engine of
+f2la checked against dense numpy references, and the strict alist parser."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bpcodes import f2la
 from bpcodes.complexes import _kron
 from bpcodes.errors import (
     AlistDegreeMismatch,
@@ -17,7 +18,16 @@ from bpcodes.errors import (
     AlistTruncated,
     DimensionMismatch,
 )
-from bpcodes.f2la import F2Matrix, alist_dumps, alist_loads, kernel_basis, rref, solve
+from bpcodes.f2la import (
+    F2Matrix,
+    alist_dumps,
+    alist_loads,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+    solve_matrix,
+)
 
 COLS = [0, 1, 63, 64, 65, 130]
 
@@ -119,10 +129,18 @@ def test_permuted_matches_dense(d, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dense_arrays(), st.sampled_from(COLS), st.integers(0, 2**32 - 1))
-def test_matmul_matches_dense(a, cols, seed):
+@given(
+    dense_arrays(),
+    st.sampled_from(COLS),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 7, f2la._GATHER_WORDS]),
+)
+def test_matmul_matches_dense(a, cols, seed, gather_words):
     b = (np.random.default_rng(seed).random((a.shape[1], cols)) < 0.4).astype(np.uint8)
-    prod = F2Matrix.from_dense(a).matmul(F2Matrix.from_dense(b))
+    # small gather sizes split the product into many chunks of whole rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f2la, "_GATHER_WORDS", gather_words)
+        prod = F2Matrix.from_dense(a).matmul(F2Matrix.from_dense(b))
     ref = (a.astype(np.int64) @ b.astype(np.int64)) % 2
     assert (prod.rows, prod.cols) == ref.shape
     assert np.array_equal(prod.to_dense(), ref)
@@ -152,11 +170,37 @@ def test_alist_dumps_matches_dense_writer(d):
     assert alist_dumps(F2Matrix.from_dense(d)) == dense_alist(d)
 
 
+def dense_rref(d: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reference Gauss-Jordan elimination on a 0/1 uint8 array, pivoting on
+    the lowest-index column; returns the nonzero RREF rows and the pivots."""
+    a = d.astype(np.uint8) % 2
+    pivots: list[int] = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        hit = np.flatnonzero(a[r:, j])
+        if not len(hit):
+            continue
+        a[[r, r + hit[0]]] = a[[r + hit[0], r]]
+        others = np.flatnonzero(a[:, j])
+        a[others[others != r]] ^= a[r]
+        pivots.append(j)
+    return a[: len(pivots)], pivots
+
+
+@st.composite
+def elim_arrays(draw, rows=st.integers(0, 24), cols=st.sampled_from(COLS)):
+    """0/1 arrays from sparse (about four ones a row) up to density 0.5,
+    plus the all-zero and all-one extremes."""
+    r, c = draw(rows), draw(cols)
+    density = draw(st.sampled_from([0.0, 4 / max(c, 1), 0.05, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((r, c)) < density).astype(np.uint8)
+
+
 def loop_kernel_rows(m: F2Matrix) -> list[int]:
     """Reference kernel basis: one vector per free column, read from the
-    dense RREF entry by entry."""
-    r, pivots = rref(m)
-    dense = r.to_dense()
+    dense reference RREF entry by entry."""
+    dense, pivots = dense_rref(m.to_dense())
     rows = []
     for f in (j for j in range(m.cols) if j not in pivots):
         v = 1 << f
@@ -170,21 +214,58 @@ def loop_kernel_rows(m: F2Matrix) -> list[int]:
 def loop_solve(m: F2Matrix, b: int) -> int | None:
     """Reference particular solution with every free variable zero."""
     rhs = np.array([(b >> i) & 1 for i in range(m.rows)], dtype=np.uint8).reshape(-1, 1)
-    r, pivots = rref(F2Matrix.from_dense(np.hstack([m.to_dense(), rhs])))
+    dense, pivots = dense_rref(np.hstack([m.to_dense(), rhs]))
     if m.cols in pivots:
         return None
-    dense = r.to_dense()
     return sum(1 << p for i, p in enumerate(pivots) if dense[i, m.cols])
 
 
-@settings(max_examples=150, deadline=None)
-@given(dense_arrays(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+@given(elim_arrays())
+def test_rank_and_rref_match_dense_reference(d):
+    m = F2Matrix.from_dense(d)
+    before = m.data.copy()
+    ref_rows, ref_pivots = dense_rref(d)
+    r, pivots = rref(m)
+    assert pivots == ref_pivots
+    assert (r.rows, r.cols) == (len(ref_pivots), m.cols)
+    assert np.array_equal(r.to_dense(), ref_rows)
+    assert rank(m) == len(ref_pivots)
+    assert np.array_equal(m.data, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elim_arrays(), st.integers(0, 2**32 - 1))
 def test_kernel_basis_and_solve_match_loop_reference(d, seed):
     m = F2Matrix.from_dense(d)
+    before = m.data.copy()
     assert kernel_basis(m).basis.row_ints() == loop_kernel_rows(m)
     rng = np.random.default_rng(seed)
-    for b in [0, int(rng.integers(0, 1 << m.rows))]:
+    x = int.from_bytes(rng.bytes(m.cols // 8 + 1), "little") & ((1 << m.cols) - 1)
+    # 0, an image M x (always solvable) and a random right-hand side
+    for b in [0, m.mul_vec_int(x), int(rng.integers(0, 1 << m.rows))]:
         assert solve(m, b) == loop_solve(m, b)
+    assert np.array_equal(m.data, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elim_arrays(), st.integers(0, 5), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_solve_matrix_matches_column_by_column_solve(d, n_image, n_random, seed):
+    m = F2Matrix.from_dense(d)
+    rng = np.random.default_rng(seed)
+    # image columns M x are solvable; random columns may not be
+    x = (rng.random((m.cols, n_image)) < 0.5).astype(np.uint8)
+    cols = [(d.astype(np.int64) @ x) % 2, rng.integers(0, 2, (m.rows, n_random))]
+    rhs = F2Matrix.from_dense(np.hstack(cols).reshape(m.rows, n_image + n_random))
+    before = m.data.copy(), rhs.data.copy()
+    expected = [solve(m, b) for b in rhs.transpose().row_ints()]
+    got = solve_matrix(m, rhs)
+    if None in expected:
+        assert got is None
+    else:
+        assert (got.rows, got.cols) == (m.cols, rhs.cols)
+        assert got.transpose().row_ints() == expected
+    assert np.array_equal(m.data, before[0]) and np.array_equal(rhs.data, before[1])
 
 
 def test_init_leaves_caller_array_writeable():
