@@ -95,10 +95,32 @@ class ProjMat2:
         return legendre(self.det(), self.q) == 1
 
 
+CAYLEY_TABLE_CAP = 400  # largest group given a full multiplication table
+
+
+def index_table(rows, shape: tuple[int, int]) -> np.ndarray | None:
+    """rows as a read-only int64 array of the given shape, or None when
+    they are ragged or shaped otherwise."""
+    try:
+        table = np.array(rows, dtype=np.int64)
+    except (TypeError, ValueError):
+        return None
+    if table.shape != shape:
+        return None
+    table.flags.writeable = False
+    return table
+
+
 class FiniteGroup:
-    """A finite group held as an indexed element list; products are computed
-    from the elements and looked up by index. Closure is checked when the
-    order is at most 400.
+    """A finite group held as an indexed element list.
+
+    ``mul_indices`` multiplies element indices given as broadcastable int
+    arrays. This base class reads the products from a Cayley table built
+    once from ``mul_fn``, which needs the order at most CAYLEY_TABLE_CAP;
+    building it checks closure. Subclasses compute products from index
+    arithmetic instead. Identity, inverses and (up to CAYLEY_TABLE_CAP)
+    closure are derived from ``mul_indices``; the scalar ``mul`` goes
+    through the element objects.
     """
 
     def __init__(self, elements, mul_fn, name: str = ""):
@@ -109,46 +131,49 @@ class FiniteGroup:
         self._mul_fn = mul_fn
         self.name = name
         self.order = len(self.elements)
-        self.identity = self._find_identity()
-        self._inv = self._build_inverses()
-        if self.order <= 400:
-            self._check_closure()
+        self._prepare()
+        every = np.arange(self.order)
+        self.identity = self._find_identity(every)
+        self._inv = self._build_inverses(every)
+        if self.order <= CAYLEY_TABLE_CAP:
+            self.mul_indices(every[:, None], every)  # raises if a product leaves the list
 
-    def _find_identity(self) -> int:
-        e0 = self.elements[0]
+    def _prepare(self) -> None:
+        if self.order > CAYLEY_TABLE_CAP:
+            raise CapExceeded(
+                f"order {self.order} exceeds the Cayley table cap {CAYLEY_TABLE_CAP}"
+            )
+        table = np.empty((self.order, self.order), dtype=np.int64)
         for i, e in enumerate(self.elements):
-            if self._mul_fn(e, e0) == e0 and self._mul_fn(e0, e) == e0:
-                return i
-        raise InvalidModulus("no identity element found")
-
-    def _build_inverses(self) -> list[int]:
-        inv = [-1] * self.order
-        ident = self.elements[self.identity]
-        for i, e in enumerate(self.elements):
-            if inv[i] >= 0:
-                continue
-            found = None
-            if hasattr(e, "inv"):
-                cand = e.inv()
-                j = self.index.get(cand)
-                if j is not None and self._mul_fn(e, cand) == ident:
-                    found = j
-            if found is None:
-                for j, f in enumerate(self.elements):
-                    if self._mul_fn(e, f) == ident:
-                        found = j
-                        break
-            if found is None:
-                raise InvalidModulus(f"element {e} has no inverse in the list")
-            inv[i] = found
-            inv[found] = i
-        return inv
-
-    def _check_closure(self) -> None:
-        for e in self.elements:
-            for f in self.elements:
-                if self._mul_fn(e, f) not in self.index:
+            for j, f in enumerate(self.elements):
+                k = self.index.get(self._mul_fn(e, f))
+                if k is None:
                     raise InvalidModulus(f"product {e} * {f} leaves the element list")
+                table[i, j] = k
+        self._table = table
+
+    def mul_indices(self, a, b) -> np.ndarray:
+        """Products of element indices, broadcast over int arrays a and b."""
+        return self._table[a, b]
+
+    def _inverse_candidates(self, every: np.ndarray) -> np.ndarray:
+        """A candidate inverse index of every element, checked afterwards."""
+        return np.argmax(self._table == self.identity, axis=1)
+
+    def _find_identity(self, every: np.ndarray) -> int:
+        if not self.order:
+            raise InvalidModulus("no identity element found")
+        hits = (self.mul_indices(every, 0) == 0) & (self.mul_indices(0, every) == 0)
+        if not hits.any():
+            raise InvalidModulus("no identity element found")
+        return int(np.argmax(hits))
+
+    def _build_inverses(self, every: np.ndarray) -> list[int]:
+        inv = self._inverse_candidates(every)
+        bad = np.flatnonzero(self.mul_indices(every, inv) != self.identity)
+        if len(bad):
+            raise InvalidModulus(f"element {self.elements[bad[0]]} has no inverse in the list")
+        return inv.tolist()
 
     def mul(self, i: int, j: int) -> int:
         prod = self._mul_fn(self.elements[i], self.elements[j])
@@ -159,6 +184,10 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         return self._inv[i]
+
+    def inverses(self) -> np.ndarray:
+        """Inverse indices of all elements, as an int array."""
+        return np.asarray(self._inv, dtype=np.int64)
 
     def is_action_table(self, perms) -> bool:
         """Whether perms (order x n, row h the image of every point under
@@ -173,11 +202,27 @@ class FiniteGroup:
             return False
         if not np.array_equal(p[self.identity], np.arange(n)):
             return False
-        for a in range(self.order):
-            prods = [self.mul(a, b) for b in range(self.order)]
-            if not np.array_equal(p[a][p], p[prods]):
-                return False
-        return True
+        every = np.arange(self.order)
+        return all(
+            np.array_equal(p[a][p], p[self.mul_indices(a, every)]) for a in range(self.order)
+        )
+
+    def is_abelian(self) -> bool:
+        every = np.arange(self.order)
+        return all(
+            np.array_equal(self.mul_indices(a, every), self.mul_indices(every, a))
+            for a in range(self.order)
+        )
+
+    def same_table(self, other: "FiniteGroup") -> bool:
+        """Whether other has the same order and multiplication table."""
+        if self.order != other.order:
+            return False
+        every = np.arange(self.order)
+        return all(
+            np.array_equal(self.mul_indices(a, every), other.mul_indices(a, every))
+            for a in range(self.order)
+        )
 
     def element_order(self, i: int) -> int:
         k, acc = 1, i
@@ -204,18 +249,81 @@ class FiniteGroup:
             frontier = nxt
         return sorted(seen)
 
-    def conjugate(self, g: int, h: int) -> int:
-        return self.mul(self.mul(g, h), self.inv(g))
-
     def dump_generators(self) -> dict:
         """JSON-ready description (name, order, element sample)."""
         sample = [repr(self.elements[i]) for i in range(min(self.order, 8))]
         return {"name": self.name, "order": self.order, "elements_head": sample}
 
 
+class _CyclicGroup(FiniteGroup):
+    """Z_n on the indices 0..n-1: products are (i + j) mod n."""
+
+    def _prepare(self) -> None:
+        pass
+
+    def mul_indices(self, a, b) -> np.ndarray:
+        return (np.asarray(a, dtype=np.int64) + b) % self.order
+
+    def _inverse_candidates(self, every: np.ndarray) -> np.ndarray:
+        return -every % self.order
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with elements 0..n-1 under addition mod n."""
-    return FiniteGroup(range(n), lambda a, b: (a + b) % n, name=f"Z_{n}")
+    return _CyclicGroup(range(n), lambda a, b: (a + b) % n, name=f"Z_{n}")
+
+
+class _ProjectiveGroup(FiniteGroup):
+    """A group of ProjMat2 elements over F_q. Products multiply the
+    (order, 4) entry array mod q, scale by the inverse of the leading entry
+    and look the index up by sorted code."""
+
+    def __init__(self, q: int, elements, name: str):
+        self.q = q
+        super().__init__(elements, lambda x, y: x.mul(y), name)
+
+    def _prepare(self) -> None:
+        q = self.q
+        entries = np.array(
+            [(e.a, e.b, e.c, e.d) for e in self.elements], dtype=np.int64
+        ).reshape(-1, 4)
+        self._entries = entries.T.copy()  # row r holds entry r of every element
+        codes = self._codes(self._entries)
+        self._by_code = np.argsort(codes)
+        self._sorted_codes = codes[self._by_code]
+        self._inv_mod = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+
+    def _codes(self, m) -> np.ndarray:
+        q = self.q
+        return ((m[0] * q + m[1]) * q + m[2]) * q + m[3]
+
+    def _lookup(self, m) -> np.ndarray:
+        """Indices of the matrices m (entries first), normalized so the
+        first nonzero entry is 1; raises when one is not an element."""
+        q = self.q
+        # det != 0 keeps (a, b) nonzero, so the leading entry is a or b
+        lead = np.where(m[0] != 0, m[0], m[1])
+        codes = self._codes(m * self._inv_mod[lead] % q)
+        pos = np.searchsorted(self._sorted_codes, codes)
+        pos = np.minimum(pos, self.order - 1)
+        if not np.array_equal(self._sorted_codes[pos], codes):
+            raise InvalidModulus("product leaves the group")
+        return self._by_code[pos]
+
+    def mul_indices(self, a, b) -> np.ndarray:
+        x, y = self._entries[:, a], self._entries[:, b]
+        q = self.q
+        m = np.stack([
+            (x[0] * y[0] + x[1] * y[2]) % q,
+            (x[0] * y[1] + x[1] * y[3]) % q,
+            (x[2] * y[0] + x[3] * y[2]) % q,
+            (x[2] * y[1] + x[3] * y[3]) % q,
+        ])
+        return self._lookup(m)
+
+    def _inverse_candidates(self, every: np.ndarray) -> np.ndarray:
+        a, b, c, d = self._entries
+        return self._lookup(np.stack([d, -b % self.q, -c % self.q, a]))
 
 
 def _pgl2_elements(q: int) -> list[ProjMat2]:
@@ -241,7 +349,7 @@ def build_pgl2(q: int) -> FiniteGroup:
         raise InvalidModulus(f"{q} is not an odd prime")
     if q > PGL_ORDER_CAP:
         raise CapExceeded(f"q={q} exceeds the enumeration cap {PGL_ORDER_CAP}")
-    g = FiniteGroup(_pgl2_elements(q), lambda x, y: x.mul(y), name=f"PGL(2,{q})")
+    g = _ProjectiveGroup(q, _pgl2_elements(q), name=f"PGL(2,{q})")
     if g.order != q * (q * q - 1):
         raise InvalidModulus("PGL enumeration produced a wrong order")
     return g
@@ -252,7 +360,7 @@ def build_psl2(q: int) -> FiniteGroup:
     """PSL(2,q) as the square-determinant-class subgroup of PGL(2,q)."""
     pgl = build_pgl2(q)
     elems = [e for e in pgl.elements if e.det_is_square()]
-    g = FiniteGroup(elems, lambda x, y: x.mul(y), name=f"PSL(2,{q})")
+    g = _ProjectiveGroup(q, elems, name=f"PSL(2,{q})")
     if g.order != q * (q * q - 1) // 2:
         raise InvalidModulus("PSL enumeration produced a wrong order")
     return g
@@ -267,7 +375,7 @@ def unipotent_subgroup(g: FiniteGroup) -> FiniteGroup:
     for e in elems:
         if e not in g.index:
             raise NotPGL("unipotent elements are not all present in the group")
-    sub = FiniteGroup(elems, lambda x, y: x.mul(y), name=f"U({q})")
+    sub = _ProjectiveGroup(q, elems, name=f"U({q})")
     if sub.order != q:
         raise NotPGL("unipotent subgroup has unexpected order")
     return sub

@@ -61,7 +61,7 @@ class F2Matrix:
     are always zero.
     """
 
-    __slots__ = ("rows", "cols", "data", "_tcache")
+    __slots__ = ("rows", "cols", "data", "_tcache", "_rank")
 
     def __init__(self, rows: int, cols: int, data: np.ndarray):
         if data.shape != (rows, _n_words(cols)) or data.dtype != np.uint64:
@@ -296,8 +296,23 @@ def _reduced_rows(rows) -> tuple[list[int], list[int]]:
 
 
 def rank(m: F2Matrix) -> int:
-    """Rank over GF(2)."""
-    return IncrementalSpan(m.row_int(i) for i in range(m.rows)).dim
+    """Rank over GF(2), computed once per (immutable) matrix."""
+    r = getattr(m, "_rank", None)
+    if r is None:
+        r = IncrementalSpan(m.row_int(i) for i in range(m.rows)).dim
+        m._rank = r
+    return r
+
+
+def _end_bits_distinct(m: F2Matrix) -> bool:
+    """A certificate that the rows are independent: their lowest set bits
+    are pairwise distinct (as in echelon rows), or their highest set bits
+    are (as in kernel vectors, each topped by its own free column). False
+    when neither holds, and on any zero row."""
+    rows = m.row_ints()
+    if not all(rows):
+        return False
+    return len({v & -v for v in rows}) == len(rows) or len({v.bit_length() for v in rows}) == len(rows)
 
 
 def rref(m: F2Matrix) -> tuple[F2Matrix, list[int]]:
@@ -316,7 +331,7 @@ class F2Subspace:
     def __post_init__(self):
         if self.basis.cols != self.ambient_dim:
             raise DimensionMismatch("basis width does not match ambient dimension")
-        if rank(self.basis) != self.basis.rows:
+        if not _end_bits_distinct(self.basis) and rank(self.basis) != self.basis.rows:
             raise ContainmentError("basis rows are linearly dependent")
 
     @property

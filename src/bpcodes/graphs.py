@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .algebra import FiniteGroup, ProjMat2, is_prime, legendre
+from .algebra import FiniteGroup, ProjMat2, index_table, is_prime, legendre
 from .errors import (
     Disconnected,
     DomainError,
@@ -56,6 +56,13 @@ class LabeledGraph:
             lu, lv = self.labels[e]
             self.edge_at[u][lu] = e
             self.edge_at[v][lv] = e
+        # the same edges and labels as (n_edges, 2) int arrays, and the edge
+        # codes u * n + v in sorted order for vectorised lookups
+        self.edge_array = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.label_array = np.array(self.labels, dtype=np.int64).reshape(-1, 2)
+        codes = self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
+        self._by_code = np.argsort(codes)
+        self._sorted_codes = codes[self._by_code]
 
     def _validate(self) -> None:
         if len(self.labels) != len(self.edges):
@@ -86,6 +93,16 @@ class LabeledGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Indices of the edges {u, v}, broadcast over int arrays u and v;
+        -1 where the two vertices are not joined."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        codes = lo * self.n + hi
+        if not self.n_edges:
+            return np.full(codes.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._sorted_codes, codes), self.n_edges - 1)
+        return np.where(self._sorted_codes[pos] == codes, self._by_code[pos], -1)
 
     def label_at(self, v: int, e: int) -> int:
         u, w = self.edges[e]
@@ -145,25 +162,33 @@ def cayley_graph(group: FiniteGroup, gens: list[int]) -> LabeledGraph:
             raise NotSymmetric("generating set is not closed under inverses")
         if group.inv(s) == s:
             raise NotSymmetric("involutive generator; labeling convention undefined")
-    edges = {}
-    labels = {}
-    for g in range(group.order):
-        for idx, s in enumerate(gens):
-            h = group.mul(s, g)
-            if h == g:
-                raise SelfLoop("a generator fixes a vertex")
-            key = (min(g, h), max(g, h))
-            if key not in edges:
-                edges[key] = len(edges)
-                labels[key] = [-1, -1]
-            side = 0 if g == key[0] else 1
-            prev = labels[key][side]
-            if prev not in (-1, idx):
-                raise NotSimpleGraph("two generators produce the same edge")
-            labels[key][side] = idx
-    ordered = sorted(edges, key=edges.get)
+    every = np.arange(group.order)
+    ends = group.mul_indices(np.asarray(gens, dtype=np.int64), every[:, None])  # [g, idx] = s_idx * g
+    if (ends == every[:, None]).any():
+        raise SelfLoop("a generator fixes a vertex")
+    lo = np.minimum(every[:, None], ends)
+    codes = (lo * group.order + np.maximum(every[:, None], ends)).ravel()
+    # edges in first-seen order over (g, idx), row-major
+    uniq, first, edge_of = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    edge_of = rank[edge_of]
+    # the label at g of edge {g, s*g} is the generator's index; each (edge, side)
+    # is labeled from exactly one (g, idx) unless two generators coincide
+    side = (lo != every[:, None]).ravel()
+    slot = edge_of * 2 + side
+    if np.bincount(slot, minlength=2 * len(uniq)).max(initial=0) > 1:
+        raise NotSimpleGraph("two generators produce the same edge")
+    labels = np.full(2 * len(uniq), -1, dtype=np.int64)
+    labels[slot] = np.tile(np.arange(len(gens)), group.order)
+    ordered = uniq[order]
+    edges = np.stack([ordered // group.order, ordered % group.order], axis=1)
     return LabeledGraph(
-        group.order, ordered, [tuple(labels[k]) for k in ordered], len(gens)
+        group.order,
+        [tuple(e) for e in edges.tolist()],
+        [tuple(l) for l in labels.reshape(-1, 2).tolist()],
+        len(gens),
     )
 
 
@@ -437,54 +462,62 @@ def _cut_size(x: LabeledGraph, subset: set[int]) -> int:
 class GraphAction:
     """A free action of a finite group on a labeled graph.
 
-    vertex_perms[h][v] and edge_perms[h][e] give the images under the h-th
-    group element. Construction checks that the vertex permutations form
-    a group action, freeness, that the permutations respect incidence,
-    label invariance, and the quotient condition (no edge inside a vertex
-    orbit).
+    vertex_perms[h, v] and edge_perms[h, e] give the images under the h-th
+    group element, as read-only (order, n) int arrays. Construction checks
+    that the vertex permutations form a group action, freeness, that the
+    permutations respect incidence, label invariance, and the quotient
+    condition (no edge inside a vertex orbit).
     """
 
     def __init__(self, graph: LabeledGraph, group: FiniteGroup, vertex_perms, edge_perms):
         self.graph = graph
         self.group = group
-        self.vertex_perms = [list(p) for p in vertex_perms]
-        self.edge_perms = [list(p) for p in edge_perms]
+        self.vertex_perms = index_table(vertex_perms, (group.order, graph.n))
+        self.edge_perms = index_table(edge_perms, (group.order, graph.n_edges))
         self._validate()
 
     def _validate(self) -> None:
+        """Raise on the first faulty group element in index order, with
+        the checks of each element in the order: vertex fixed point, edge
+        fixed point, then per edge the image and its labels; the quotient
+        condition last."""
         g, x = self.group, self.graph
-        if len(self.vertex_perms) != g.order or len(self.edge_perms) != g.order:
-            raise NotFree("permutation list length differs from the group order")
-        ident = g.identity
-        vperms = self.vertex_perms
-        if any(len(vp) != x.n for vp in vperms) or not g.is_action_table(vperms):
+        vp, ep = self.vertex_perms, self.edge_perms
+        if vp is None or not g.is_action_table(vp):
             raise NotFree("vertex permutations are not a group action")
-        for h in range(g.order):
-            vp, ep = self.vertex_perms[h], self.edge_perms[h]
-            if h != ident:
-                if any(vp[v] == v for v in range(x.n)):
-                    raise NotFree("action has a vertex fixed point")
-                if any(ep[e] == e for e in range(x.n_edges)):
-                    raise NotFree("action has an edge fixed point")
-            for e, (u, v) in enumerate(x.edges):
-                iu, iv = vp[u], vp[v]
-                image = (min(iu, iv), max(iu, iv))
-                if x.edges[ep[e]] != image:
-                    raise NotFree("edge permutation does not match vertex images")
-                # label invariance at both endpoints
-                if x.label_at(iu, ep[e]) != x.label_at(u, e):
-                    raise QuotientConditionViolated("labels are not action-invariant")
-                if x.label_at(iv, ep[e]) != x.label_at(v, e):
-                    raise QuotientConditionViolated("labels are not action-invariant")
-        for h in range(g.order):
-            if h == ident:
-                continue
-            vp = self.vertex_perms[h]
-            for u, v in self.graph.edges:
-                if vp[u] == v or vp[v] == u:
-                    raise QuotientConditionViolated(
-                        f"edge {u}-{v} joins a vertex to its own orbit"
-                    )
+        if ep is None or (ep.size and (ep.min() < 0 or ep.max() >= x.n_edges)):
+            raise NotFree("edge permutations are not a table of edge indices")
+        others = (np.arange(g.order) != g.identity)[:, None]
+        vfix = ((vp == np.arange(x.n)) & others).any(axis=1)
+        efix = ((ep == np.arange(x.n_edges)) & others).any(axis=1)
+        ends, labs = x.edge_array, x.label_array
+        iu, iv = vp[:, ends[:, 0]], vp[:, ends[:, 1]]
+        image, image_labs = ends[ep], labs[ep]
+        moved = (image[..., 0] != np.minimum(iu, iv)) | (image[..., 1] != np.maximum(iu, iv))
+        at_u = np.where(image[..., 0] == iu, image_labs[..., 0], image_labs[..., 1])
+        at_v = np.where(image[..., 0] == iv, image_labs[..., 0], image_labs[..., 1])
+        bad = moved | (at_u != labs[:, 0]) | (at_v != labs[:, 1])
+        faulty = vfix | efix | bad.any(axis=1)
+        if faulty.any():
+            h = int(np.argmax(faulty))
+            if vfix[h]:
+                raise NotFree("action has a vertex fixed point")
+            if efix[h]:
+                raise NotFree("action has an edge fixed point")
+            if moved[h, np.argmax(bad[h])]:
+                raise NotFree("edge permutation does not match vertex images")
+            raise QuotientConditionViolated("labels are not action-invariant")
+        inside = ((iu == ends[:, 1]) | (iv == ends[:, 0])) & others
+        if inside.any():
+            u, v = x.edges[np.argmax(inside) % x.n_edges]
+            raise QuotientConditionViolated(f"edge {u}-{v} joins a vertex to its own orbit")
+
+
+def _edge_images(graph: LabeledGraph, vperms: np.ndarray) -> np.ndarray:
+    """Edge permutations induced by vertex permutations (-1 where the
+    image of an edge is not an edge)."""
+    ends = graph.edge_array
+    return graph.edge_ids(vperms[:, ends[:, 0]], vperms[:, ends[:, 1]])
 
 
 def cayley_right_action(
@@ -495,21 +528,11 @@ def cayley_right_action(
     The Cayley graph must have been built by cayley_graph(group, gens) so
     vertex v is the group element of index v.
     """
-    edge_index = {e: i for i, e in enumerate(graph.edges)}
-    vperms, eperms = [], []
-    for h_elem in sub.elements:
-        h = group.index[h_elem] if h_elem in group.index else None
-        if h is None:
-            raise NotFree("subgroup element missing from the ambient group")
-        vp = [group.mul(v, h) for v in range(group.order)]
-        ep = []
-        for u, v in graph.edges:
-            iu, iv = vp[u], vp[v]
-            key = (min(iu, iv), max(iu, iv))
-            ep.append(edge_index[key])
-        vperms.append(vp)
-        eperms.append(ep)
-    return GraphAction(graph, sub, vperms, eperms)
+    h = np.array([group.index.get(e, -1) for e in sub.elements], dtype=np.int64)
+    if (h < 0).any():
+        raise NotFree("subgroup element missing from the ambient group")
+    vperms = group.mul_indices(np.arange(group.order), h[:, None])
+    return GraphAction(graph, sub, vperms, _edge_images(graph, vperms))
 
 
 def cycle_labeled_graph(ell: int) -> LabeledGraph:
@@ -538,19 +561,9 @@ def cycle_rotation_action(graph: LabeledGraph, subgroup_order: int) -> GraphActi
     if ell % subgroup_order:
         raise NotFree("subgroup order must divide the cycle length")
     step = ell // subgroup_order
-    edge_index = {e: i for i, e in enumerate(graph.edges)}
-    sub = cyclic_group(subgroup_order)
-    vperms, eperms = [], []
-    for k in range(subgroup_order):
-        shift = k * step
-        vp = [(v + shift) % ell for v in range(ell)]
-        ep = []
-        for u, v in graph.edges:
-            iu, iv = vp[u], vp[v]
-            ep.append(edge_index[(min(iu, iv), max(iu, iv))])
-        vperms.append(vp)
-        eperms.append(ep)
-    return GraphAction(graph, sub, vperms, eperms)
+    shifts = np.arange(subgroup_order) * step
+    vperms = (np.arange(ell) + shifts[:, None]) % ell
+    return GraphAction(graph, cyclic_group(subgroup_order), vperms, _edge_images(graph, vperms))
 
 
 @dataclass(frozen=True)
@@ -594,102 +607,79 @@ def quotient_graph(action: GraphAction) -> QuotientData:
     representative to the lift's far endpoint.
     """
     x, h = action.graph, action.group
-    _, orbit_of, rep, shift, _ = _orbit_tables(x.n, h, action.vertex_perms)
-    e_orbits, e_orbit_of_old, _, _, e_members = _orbit_tables(
-        x.n_edges, h, action.edge_perms
-    )
+    orbit_of, rep, shift = _orbit_tables(x.n, h, action.vertex_perms)
+    e_orbit_of_old, e_min, _ = _orbit_tables(x.n_edges, h, action.edge_perms)
 
-    info = []  # per old edge-orbit id: (base pair, labels, connection, lift)
-    seen_base = set()
-    for eo in range(e_orbits):
-        member = e_members[eo][0]
-        u, v = x.edges[member]
-        ou, ov = orbit_of[u], orbit_of[v]
-        if ou == ov:
+    # per edge orbit, numbered by smallest member: its base pair
+    ends = x.edge_array[e_min]
+    ou, ov = orbit_of[ends[:, 0]], orbit_of[ends[:, 1]]
+    src, dst = np.minimum(ou, ov), np.maximum(ou, ov)
+    codes = src * len(rep) + dst
+    loop = ou == ov
+    repeated = np.ones(len(codes), dtype=bool)
+    repeated[np.unique(codes, return_index=True)[1]] = False
+    if (loop | repeated).any():
+        if loop[np.argmax(loop | repeated)]:
             raise QuotientConditionViolated("edge orbit collapses to a loop")
-        src, dst = (ou, ov) if ou < ov else (ov, ou)
-        if (src, dst) in seen_base:
-            raise NotSimpleGraph("quotient has parallel edges; not representable")
-        seen_base.add((src, dst))
-        src_rep = rep[src]
-        lift = None
-        for e in e_members[eo]:
-            a, b = x.edges[e]
-            if a == src_rep or b == src_rep:
-                lift = e
-                break
-        if lift is None:
-            raise QuotientConditionViolated("no orbit member passes the source rep")
-        a, b = x.edges[lift]
-        far = b if a == src_rep else a
-        info.append(
-            ((src, dst), (x.label_at(src_rep, lift), x.label_at(far, lift)), shift[far], lift)
-        )
+        raise NotSimpleGraph("quotient has parallel edges; not representable")
+    # the lift through the source representative: move the member's
+    # source-side endpoint back onto the representative
+    src_end = np.where(ou == src, ends[:, 0], ends[:, 1])
+    lift = action.edge_perms[h.inverses()[shift[src_end]], e_min]
+    src_rep = rep[src]
+    lift_ends, lift_labs = x.edge_array[lift], x.label_array[lift]
+    first = lift_ends[:, 0] == src_rep
+    if not (first | (lift_ends[:, 1] == src_rep)).all():
+        raise QuotientConditionViolated("no orbit member passes the source rep")
+    far = np.where(first, lift_ends[:, 1], lift_ends[:, 0])
+    base_labels = np.where(first[:, None], lift_labs, lift_labs[:, ::-1])
 
-    order = sorted(range(e_orbits), key=lambda eo: info[eo][0])
-    renum = {old: new for new, old in enumerate(order)}
-    base_edges = [info[old][0] for old in order]
-    base_labels = [info[old][1] for old in order]
-    conn_values = [info[old][2] for old in order]
-    edge_rep = [info[old][3] for old in order]
-    e_orbit_of = [renum[eo] for eo in e_orbit_of_old]
+    order = np.argsort(codes)
+    renum = np.empty(len(order), dtype=np.int64)
+    renum[order] = np.arange(len(order))
+    edge_rep = lift[order]
+    base = LabeledGraph(
+        len(rep),
+        list(zip(src[order].tolist(), dst[order].tolist())),
+        [tuple(l) for l in base_labels[order].tolist()],
+        x.s,
+    )
+    conn = Connection(base, h, tuple(shift[far][order].tolist()))
 
-    base = LabeledGraph(len(rep), base_edges, base_labels, x.s)
-    conn = Connection(base, h, tuple(conn_values))
-
-    edge_shift = [-1] * x.n_edges
-    for eo in range(e_orbits):
-        lift = edge_rep[eo]
-        for hidx in range(h.order):
-            edge_shift[action.edge_perms[hidx][lift]] = hidx
-    if min(edge_shift) < 0:
+    edge_shift = np.full(x.n_edges, -1, dtype=np.int64)
+    edge_shift[action.edge_perms[:, edge_rep]] = np.arange(h.order)[:, None]
+    if (edge_shift < 0).any():
         raise NotFree("edge orbit table inconsistent")
 
     return QuotientData(
         base=base,
         connection=conn,
-        vertex_orbit_of=tuple(orbit_of),
-        vertex_rep=tuple(rep),
-        vertex_shift=tuple(shift),
-        edge_orbit_of=tuple(e_orbit_of),
-        edge_rep=tuple(edge_rep),
-        edge_shift=tuple(edge_shift),
+        vertex_orbit_of=tuple(orbit_of.tolist()),
+        vertex_rep=tuple(rep.tolist()),
+        vertex_shift=tuple(shift.tolist()),
+        edge_orbit_of=tuple(renum[e_orbit_of_old].tolist()),
+        edge_rep=tuple(edge_rep.tolist()),
+        edge_shift=tuple(edge_shift.tolist()),
     )
 
 
-def _orbit_tables(
-    n: int, h: FiniteGroup, perms
-) -> tuple[int, list[int], list[int], list[int], list[list[int]]]:
-    """Orbit decomposition of a free action given as permutations.
+def _orbit_tables(n: int, h: FiniteGroup, perms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit decomposition of a free action given as an (order, n) table.
 
-    Returns (count, orbit_of, representative, shift, members) where
-    shift[w] is the group element index carrying the orbit representative
-    to w (perms[shift[w]][rep] == w) and representatives are the minimal
-    orbit members.
+    Returns int arrays (orbit_of, representative, shift): representatives
+    are the minimal orbit members, orbits are numbered by increasing
+    representative, and shift[w] is the group element index carrying the
+    representative to w (perms[shift[w]][rep] == w).
     """
-    orbit_of = [-1] * n
-    rep: list[int] = []
-    shift = [-1] * n
-    members_by_orbit: list[list[int]] = []
-    for v in range(n):
-        if orbit_of[v] >= 0:
-            continue
-        members = {perms[k][v]: k for k in range(h.order)}
-        if len(members) != h.order:
-            raise NotFree("orbit smaller than the group order")
-        r = min(members)
-        o = len(rep)
-        rep.append(r)
-        base_k = members[r]
-        # w = perms[k][v] and r = perms[base_k][v], so w = perms[k * base_k^-1][r]
-        for w, k in members.items():
-            orbit_of[w] = o
-            shift[w] = h.mul(k, h.inv(base_k))
-        members_by_orbit.append(sorted(members))
-    for r in rep:
-        if shift[r] != h.identity:
-            raise NotFree("representative shift normalization failed")
-    return len(rep), orbit_of, rep, shift, members_by_orbit
+    p = np.asarray(perms, dtype=np.int64).reshape(h.order, n)
+    if (np.diff(np.sort(p, axis=0), axis=0) == 0).any():
+        raise NotFree("orbit smaller than the group order")
+    rep, orbit_of = np.unique(p.min(axis=0), return_inverse=True)
+    shift = np.full(n, -1, dtype=np.int64)
+    shift[p[:, rep]] = np.arange(h.order)[:, None]
+    if (shift < 0).any() or (shift[rep] != h.identity).any():
+        raise NotFree("representative shift normalization failed")
+    return orbit_of.reshape(n), rep, shift
 
 
 def reconstruct_from_quotient(qd: QuotientData) -> LabeledGraph:
@@ -741,6 +731,9 @@ def graphs_isomorphic_by_map(a: LabeledGraph, b: LabeledGraph, vmap) -> bool:
 # -- quotient condition ----------------------------------------------------
 
 
+_CONJUGATE_BLOCK = 1 << 18  # conjugates computed per block
+
+
 @dataclass(frozen=True)
 class QuotientConditionReport:
     holds: bool
@@ -754,18 +747,20 @@ def check_quotient_condition(
     """Exhaustively test that no conjugate of the subgroup meets the
     generator set; cross-checks the determinant-class argument when the
     elements are projective matrices."""
-    gen_set = set(gens)
     sub_in_g = [group.index[e] for e in sub.elements]
+    hs = np.array([h for h in sub_in_g if h != group.identity], dtype=np.int64)
+    inverses = group.inverses()
     witness = None
-    for g in range(group.order):
-        for h in sub_in_g:
-            if h == group.identity:
-                continue
-            c = group.conjugate(g, h)
-            if c in gen_set:
-                witness = (g, h, c)
-                break
-        if witness:
+    # every g h g^-1, a block of g at a time; the first hit in g-major,
+    # subgroup order is the witness
+    step = max(1, _CONJUGATE_BLOCK // max(len(hs), 1))
+    for lo in range(0, group.order, step):
+        g = np.arange(lo, min(lo + step, group.order))[:, None]
+        conj = group.mul_indices(group.mul_indices(g, hs), inverses[g])
+        hit = np.isin(conj, gens)
+        if hit.any():
+            i, k = np.unravel_index(np.argmax(hit), hit.shape)
+            witness = (lo + int(i), int(hs[k]), int(conj[i, k]))
             break
 
     shortcut = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteGroup, GroupAlgebraElem, lift_group_algebra_matrix
+from .algebra import FiniteGroup, GroupAlgebraElem, index_table, lift_group_algebra_matrix
 from .complexes import ChainComplex, DoubleComplex, _kron, total_complex
 from .errors import (
     ActionInvalid,
@@ -49,48 +49,59 @@ class ComplexWithAction:
     """Chain complex with a permutation action of an abelian group on the
     distinguished basis of every degree.
 
-    perms[degree][h] is the permutation (as an index list) for the h-th
-    group element; the table of every degree must be a group action, and
-    every permutation must commute with the differentials.
+    perms[degree][h] is the permutation for the h-th group element, stored
+    as a read-only (order, dim) int array per degree; the table of every
+    degree must be a group action, and every permutation must commute with
+    the differentials.
     """
 
     def __init__(self, cx: ChainComplex, group: FiniteGroup, perms, free: bool = True):
         self.complex = cx
         self.group = group
-        self.perms = {d: [list(p) for p in ps] for d, ps in perms.items()}
+        # balanced products need an abelian group
+        if not group.is_abelian():
+            raise ActionInvalid(f"group {group.name} is not abelian")
+        self.perms = {d: self._table(perms, d) for d in cx.degrees()}
         self._validate(free)
+
+    def _table(self, perms, d: int) -> np.ndarray:
+        """The action table of degree d, checked to be a group action."""
+        g, n = self.group, self.complex.dim(d)
+        if n == 0:
+            return np.zeros((g.order, 0), dtype=np.int64)
+        if len(perms.get(d, [])) != g.order:
+            raise ActionInvalid(f"missing permutations at degree {d}")
+        table = index_table(perms[d], (g.order, n))
+        if table is None or not g.is_action_table(table):
+            raise ActionInvalid(f"permutations at degree {d} are not a group action")
+        return table
 
     def _validate(self, free: bool) -> None:
         g, cx = self.group, self.complex
-        # balanced products need an abelian group
-        if any(g.mul(a, b) != g.mul(b, a) for a in range(g.order) for b in range(a)):
-            raise ActionInvalid(f"group {g.name} is not abelian")
-        for d in cx.degrees():
-            if cx.dim(d) == 0:
-                continue
-            table = self.perms.get(d, [])
-            if len(table) != g.order:
-                raise ActionInvalid(f"missing permutations at degree {d}")
-            if any(len(p) != cx.dim(d) for p in table) or not g.is_action_table(table):
-                raise ActionInvalid(f"permutations at degree {d} are not a group action")
-            if free:
-                for h in range(g.order):
-                    if h == g.identity:
-                        continue
-                    if any(self.perms[d][h][i] == i for i in range(cx.dim(d))):
-                        raise NotFreeOnBasis(f"fixed basis point at degree {d}")
+        others = (np.arange(g.order) != g.identity)[:, None]
+        for d, table in self.perms.items():
+            if free and ((table == np.arange(cx.dim(d))) & others).any():
+                raise NotFreeOnBasis(f"fixed basis point at degree {d}")
         for d, m in cx.diffs.items():
             if m.rows == 0 or m.cols == 0:
                 continue
-            for h in range(g.order):
-                moved = m.permuted(self.perms[d - 1][h], self.perms[d][h])
-                if moved != m:
-                    raise ActionNotChainMap(
-                        f"group element {h} does not commute with d_{d}"
-                    )
+            # each element must carry the ones of d_d onto themselves
+            r, c = m.nonzeros()
+            ones = np.sort(r * m.cols + c)
+            moved = np.sort(self.perms[d - 1][:, r] * m.cols + self.perms[d][:, c], axis=1)
+            off = (moved != ones).any(axis=1)
+            if off.any():
+                raise ActionNotChainMap(
+                    f"group element {int(np.argmax(off))} does not commute with d_{d}"
+                )
 
     def dim(self, d: int) -> int:
         return self.complex.dim(d)
+
+
+def _rotations(ell: int, shifts) -> np.ndarray:
+    """Row i rotates 0..ell-1 by shifts[i]."""
+    return (np.arange(ell) + np.asarray(shifts, dtype=np.int64)[:, None]) % ell
 
 
 def cycle_complex_with_action(ell: int) -> ComplexWithAction:
@@ -99,12 +110,8 @@ def cycle_complex_with_action(ell: int) -> ComplexWithAction:
     from .algebra import cyclic_group
     from .complexes import cycle_graph_complex
 
-    cx = cycle_graph_complex(ell)
-    grp = cyclic_group(ell)
-    perms = {
-        d: [[(j + k) % ell for j in range(ell)] for k in range(ell)] for d in (0, 1)
-    }
-    return ComplexWithAction(cx, grp, perms)
+    rotations = _rotations(ell, range(ell))
+    return ComplexWithAction(cycle_graph_complex(ell), cyclic_group(ell), {0: rotations, 1: rotations})
 
 
 def tanner_complex_with_action(t: TannerComplex, action: GraphAction) -> ComplexWithAction:
@@ -112,14 +119,10 @@ def tanner_complex_with_action(t: TannerComplex, action: GraphAction) -> Complex
     the edge permutations, per-vertex checks follow their vertex."""
     if action.graph is not t.graph:
         raise ActionInvalid("action was built on a different graph")
-    g = action.group
     c = t.checks_per_vertex
-    perms1 = action.edge_perms
-    perms0 = []
-    for h in range(g.order):
-        vp = action.vertex_perms[h]
-        perms0.append([vp[idx // c] * c + (idx % c) for idx in range(t.graph.n * c)])
-    return ComplexWithAction(t.complex, g, {1: perms1, 0: perms0})
+    idx = np.arange(t.graph.n * c)
+    perms0 = action.vertex_perms[:, idx // c] * c + idx % c
+    return ComplexWithAction(t.complex, action.group, {1: action.edge_perms, 0: perms0})
 
 
 # -- balanced product -------------------------------------------------------
@@ -168,11 +171,7 @@ def balanced_product(left: ComplexWithAction, right: ComplexWithAction) -> Balan
     lexicographically by representative.
     """
     g, gr = left.group, right.group
-    if g is not gr and (
-        g.order != gr.order
-        or g.name != gr.name
-        or any(g.mul(a, b) != gr.mul(a, b) for a in range(g.order) for b in range(g.order))
-    ):
+    if g is not gr and (g.name != gr.name or not g.same_table(gr)):
         raise DimensionMismatch("factors carry different groups")
     cl, cr = left.complex, right.complex
 
@@ -200,24 +199,21 @@ def balanced_product(left: ComplexWithAction, right: ComplexWithAction) -> Balan
 
 
 def _pair_orbits(perms_l, perms_r, g: FiniteGroup, nl: int, nr: int) -> BalancedCell:
-    orbit_of = -np.ones((nl, nr), dtype=np.int64)
-    reps: list[tuple[int, int]] = []
-    for x in range(nl):
-        for y in range(nr):
-            if orbit_of[x, y] >= 0:
-                continue
-            members = []
-            for h in range(g.order):
-                hx = perms_l[h][x]
-                hy = perms_r[g.inv(h)][y]
-                members.append((hx, hy))
-            if len(set(members)) != g.order:
-                raise NotFreeOnBasis("orbit of a basis pair is not full size")
-            o = len(reps)
-            reps.append(min(members))
-            for mx, my in members:
-                orbit_of[mx, my] = o
-    return BalancedCell(tuple(reps), orbit_of)
+    """Orbits of the pairs (x, y) under h: (x, y) -> (hx, h^-1 y).
+
+    The left action is free, so each orbit has one member with the
+    smallest left index: for h* minimizing perms_l[h][x] the orbit of
+    (x, y) has representative (perms_l[h*][x], perms_r[h*^-1][y]). Orbits
+    are numbered by their representatives in lexicographic order.
+    """
+    if (np.diff(np.sort(perms_l, axis=0), axis=0) == 0).any():
+        raise NotFreeOnBasis("left action not free: a pair orbit is not full size")
+    best = np.argmin(perms_l, axis=0)
+    rep_x = perms_l[best, np.arange(nl)]
+    rep_y = perms_r[g.inverses()[best]]
+    codes, orbit_of = np.unique(rep_x[:, None] * nr + rep_y, return_inverse=True)
+    reps = tuple(zip((codes // nr).tolist(), (codes % nr).tolist()))
+    return BalancedCell(reps, orbit_of.reshape(nl, nr).astype(np.int64))
 
 
 def _induced(src: BalancedCell, dst: BalancedCell, d: F2Matrix, side: int) -> F2Matrix:
@@ -571,12 +567,8 @@ def circle_balanced_product(
     # cycle carrying the same group: element i rotates by powers[i]
     from .complexes import cycle_graph_complex
 
-    cyc = cycle_graph_complex(ell)
-    perms = {
-        d: [[(j + powers[i]) % ell for j in range(ell)] for i in range(h.order)]
-        for d in (0, 1)
-    }
-    right = ComplexWithAction(cyc, h, perms, free=ell > 1)
+    rotations = _rotations(ell, powers)
+    right = ComplexWithAction(cycle_graph_complex(ell), h, {0: rotations, 1: rotations}, free=ell > 1)
 
     bp = balanced_product(left, right)
 

@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpcodes.algebra import (
+    FiniteGroup,
+    _ProjectiveGroup,
     GF2m,
     GroupAlgebraElem,
     ProjMat2,
@@ -16,7 +19,7 @@ from bpcodes.algebra import (
     lift_group_algebra_matrix,
     unipotent_subgroup,
 )
-from bpcodes.errors import DimensionMismatch, InvalidModulus, NotPGL
+from bpcodes.errors import CapExceeded, DimensionMismatch, InvalidModulus, NotPGL
 from bpcodes.f2la import F2Matrix
 
 
@@ -59,6 +62,89 @@ def test_pgl3_closure_and_inverses():
         assert g.mul(i, g.inv(i)) == g.identity
         for j in range(g.order):
             g.mul(i, j)  # raises if the product leaves the table
+
+
+# -- index-level products against the element-object path ----------------------
+
+
+def _object_mul(g, i, j):
+    """The product of elements i and j through ProjMat2.mul and the index."""
+    return g.index[g.elements[i].mul(g.elements[j])]
+
+
+def _object_inv(g, i):
+    return g.index[g.elements[i].inv()]
+
+
+def _projective_group(kind, q):
+    if kind == "PGL":
+        return build_pgl2(q)
+    if kind == "PSL":
+        return build_psl2(q)
+    return unipotent_subgroup(build_pgl2(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["PGL", "PSL", "U"]),
+    st.sampled_from([5, 7, 11, 13]),
+    st.data(),
+)
+def test_projective_products_match_object_path(kind, q, data):
+    g = _projective_group(kind, q)
+    idx = st.integers(0, g.order - 1)
+    a = np.array(data.draw(st.lists(idx, min_size=1, max_size=12)), dtype=np.int64)
+    b = np.array(data.draw(st.lists(idx, min_size=1, max_size=12)), dtype=np.int64)
+    # broadcast a column against a row, then elementwise on equal lengths
+    grid = g.mul_indices(a[:, None], b)
+    assert grid.shape == (len(a), len(b))
+    assert grid.tolist() == [[_object_mul(g, i, j) for j in b] for i in a]
+    m = min(len(a), len(b))
+    assert g.mul_indices(a[:m], b[:m]).tolist() == [_object_mul(g, i, j) for i, j in zip(a[:m], b[:m])]
+    assert int(g.mul_indices(int(a[0]), int(b[0]))) == g.mul(int(a[0]), int(b[0]))
+    assert g.inverses()[a].tolist() == [_object_inv(g, i) for i in a]
+    assert [g.inv(int(i)) for i in a] == [_object_inv(g, i) for i in a]
+
+
+@pytest.mark.parametrize("kind", ["PGL", "PSL", "U"])
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_projective_identity_and_inverses_match_object_path(kind, q):
+    g = _projective_group(kind, q)
+    assert g.elements[g.identity] == ProjMat2.identity(q)
+    assert g.inverses().tolist() == [_object_inv(g, i) for i in range(g.order)]
+
+
+def test_cyclic_and_table_products_match_mul_fn():
+    z7 = cyclic_group(7)
+    every = np.arange(7)
+    assert z7.mul_indices(every[:, None], every).tolist() == [
+        [(i + j) % 7 for j in range(7)] for i in range(7)
+    ]
+    assert z7.inverses().tolist() == [(-i) % 7 for i in range(7)]
+    perms = list(itertools.permutations(range(3)))
+    s3 = FiniteGroup(perms, lambda x, y: tuple(x[i] for i in y), name="S_3")
+    table = s3.mul_indices(np.arange(6)[:, None], np.arange(6))
+    for i, x in enumerate(perms):
+        for j, y in enumerate(perms):
+            assert perms[table[i, j]] == tuple(x[k] for k in y) and table[i, j] == s3.mul(i, j)
+    assert not s3.is_abelian() and z7.is_abelian()
+
+
+def test_product_leaving_the_element_list_is_rejected():
+    with pytest.raises(InvalidModulus):
+        FiniteGroup([0, 1], lambda a, b: (a + b) % 3)
+    # U(5) short of one element fails the closure check below the cap; above
+    # it, PGL(2,11) short of one element fails when an inverse is looked up
+    with pytest.raises(InvalidModulus):
+        _ProjectiveGroup(5, unipotent_subgroup(build_pgl2(5)).elements[:-1], name="U(5)-1")
+    with pytest.raises(InvalidModulus):
+        _ProjectiveGroup(11, build_pgl2(11).elements[:-1], name="PGL(2,11)-1")
+
+
+def test_table_groups_above_the_cap_are_rejected():
+    with pytest.raises(CapExceeded):
+        FiniteGroup(range(401), lambda a, b: (a + b) % 401)
+    assert cyclic_group(401).mul(400, 2) == 1
 
 
 def test_canonical_form_first_nonzero_is_one():

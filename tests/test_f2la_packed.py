@@ -16,10 +16,12 @@ from bpcodes.errors import (
     AlistListsDisagree,
     AlistTrailingTokens,
     AlistTruncated,
+    ContainmentError,
     DimensionMismatch,
 )
 from bpcodes.f2la import (
     F2Matrix,
+    F2Subspace,
     alist_dumps,
     alist_loads,
     kernel_basis,
@@ -246,6 +248,38 @@ def test_kernel_basis_and_solve_match_loop_reference(d, seed):
     for b in [0, m.mul_vec_int(x), int(rng.integers(0, 1 << m.rows))]:
         assert solve(m, b) == loop_solve(m, b)
     assert np.array_equal(m.data, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elim_arrays(), st.sampled_from(["rows", "rref", "kernel"]))
+def test_subspace_accepts_exactly_independent_rows(d, source):
+    """The end-bit certificate never accepts dependent rows: F2Subspace
+    raises exactly when the dense reference rank falls short."""
+    m = F2Matrix.from_dense(d)
+    if source == "rref":
+        m = rref(m)[0]
+    elif source == "kernel":
+        m = kernel_basis(m).basis
+    independent = len(dense_rref(m.to_dense())[1]) == m.rows
+    if source != "rows":
+        assert independent and f2la._end_bits_distinct(m)
+    assert not f2la._end_bits_distinct(m) or independent
+    if independent:
+        assert F2Subspace(m.cols, m).dim == m.rows
+    else:
+        with pytest.raises(ContainmentError):
+            F2Subspace(m.cols, m)
+
+
+def test_rank_is_computed_once_per_matrix():
+    m = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        real = f2la.IncrementalSpan
+        mp.setattr(f2la, "IncrementalSpan", lambda rows: calls.append(1) or real(rows))
+        assert rank(m) == rank(m) == 2
+        assert len(calls) == 1
+        assert rank(F2Matrix.from_dense(m.to_dense())) == 2 and len(calls) == 2
 
 
 @settings(max_examples=150, deadline=None)

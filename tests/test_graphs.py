@@ -341,3 +341,297 @@ def test_coset_graph_degenerate_rejected():
     z5 = cyclic_group(5)
     with pytest.raises(IncidenceDegenerate):
         find_rotation_pair(z5, 3, 7)
+
+
+# -- one rejection per fault class of GraphAction._validate -------------------
+
+
+def _fault_cycle(ell, relabel_vertex_zero=False) -> LabeledGraph:
+    """The ell-cycle with rotation-invariant labels, or with the two labels
+    at vertex 0 swapped."""
+    c = cycle_labeled_graph(ell)
+    labels = list(c.labels)
+    if relabel_vertex_zero:
+        for e, (u, v) in enumerate(c.edges):
+            if u == 0:
+                labels[e] = (1 - labels[e][0], labels[e][1])
+    return LabeledGraph(ell, c.edges, labels, 2)
+
+
+def _rotation_tables(graph, steps):
+    edge_index = {e: k for k, e in enumerate(graph.edges)}
+    vperms = [[(v + s) % graph.n for v in range(graph.n)] for s in steps]
+    eperms = [
+        [edge_index[tuple(sorted((vp[u], vp[v])))] for u, v in graph.edges] for vp in vperms
+    ]
+    return vperms, eperms
+
+
+def test_graph_action_rejects_vertex_fixed_point():
+    from bpcodes.errors import NotFree
+
+    # the reflection v -> -v of the 4-cycle fixes the vertices 0 and 2
+    c4 = cycle_labeled_graph(4)
+    edge_index = {e: k for k, e in enumerate(c4.edges)}
+    refl = [(-v) % 4 for v in range(4)]
+    eperm = [edge_index[tuple(sorted((refl[u], refl[v])))] for u, v in c4.edges]
+    with pytest.raises(NotFree, match="vertex fixed point"):
+        GraphAction(c4, cyclic_group(2), [list(range(4)), refl], [list(range(4)), eperm])
+
+
+def test_graph_action_rejects_edge_fixed_point():
+    from bpcodes.errors import NotFree
+
+    # Z_2 swapping the two ends of K_2 moves both vertices but fixes the edge
+    k2 = complete_graph(2)
+    with pytest.raises(NotFree, match="edge fixed point"):
+        GraphAction(k2, cyclic_group(2), [[0, 1], [1, 0]], [[0], [0]])
+
+
+def test_graph_action_rejects_edge_table_off_the_vertex_images():
+    from bpcodes.errors import NotFree
+
+    c9 = cycle_labeled_graph(9)
+    vperms, eperms = _rotation_tables(c9, [0, 3, 6])
+    eperms[1] = eperms[2]  # rotation by 6 on the edges, by 3 on the vertices
+    with pytest.raises(NotFree, match="does not match vertex images"):
+        GraphAction(c9, cyclic_group(3), vperms, eperms)
+
+
+def test_graph_action_rejects_labels_that_are_not_invariant():
+    graph = _fault_cycle(9, relabel_vertex_zero=True)
+    with pytest.raises(QuotientConditionViolated, match="not action-invariant"):
+        GraphAction(graph, cyclic_group(3), *_rotation_tables(graph, [0, 3, 6]))
+
+
+def test_graph_action_rejects_an_edge_inside_an_orbit():
+    # Z_3 rotating the 3-cycle by one step joins every vertex to its image
+    graph = _fault_cycle(3)
+    with pytest.raises(QuotientConditionViolated, match="joins a vertex to its own orbit"):
+        GraphAction(graph, cyclic_group(3), *_rotation_tables(graph, [0, 1, 2]))
+
+
+# -- the array paths against the element-loop code they replaced ----------------
+#
+# The _old_* functions below are the loop implementations of cayley_graph,
+# cayley_right_action, _orbit_tables, quotient_graph, _pair_orbits and
+# check_quotient_condition that the index-array versions replaced, kept
+# here as the reference. They multiply through the scalar FiniteGroup.mul.
+
+
+def _old_cayley_edges(group, gens):
+    edges, labels = {}, {}
+    for g in range(group.order):
+        for idx, s in enumerate(gens):
+            h = group.mul(s, g)
+            key = (min(g, h), max(g, h))
+            if key not in edges:
+                edges[key] = len(edges)
+                labels[key] = [-1, -1]
+            labels[key][0 if g == key[0] else 1] = idx
+    ordered = sorted(edges, key=edges.get)
+    return ordered, [tuple(labels[k]) for k in ordered]
+
+
+def _old_right_action_tables(graph, group, sub):
+    edge_index = {e: i for i, e in enumerate(graph.edges)}
+    vperms, eperms = [], []
+    for h_elem in sub.elements:
+        h = group.index[h_elem]
+        vp = [group.mul(v, h) for v in range(group.order)]
+        eperms.append([edge_index[(min(vp[u], vp[v]), max(vp[u], vp[v]))] for u, v in graph.edges])
+        vperms.append(vp)
+    return vperms, eperms
+
+
+def _old_orbit_tables(n, h, perms):
+    orbit_of, rep, shift, members_by_orbit = [-1] * n, [], [-1] * n, []
+    for v in range(n):
+        if orbit_of[v] >= 0:
+            continue
+        members = {perms[k][v]: k for k in range(h.order)}
+        assert len(members) == h.order
+        r = min(members)
+        o = len(rep)
+        rep.append(r)
+        base_k = members[r]
+        for w, k in members.items():
+            orbit_of[w] = o
+            shift[w] = h.mul(k, h.inv(base_k))
+        members_by_orbit.append(sorted(members))
+    return len(rep), orbit_of, rep, shift, members_by_orbit
+
+
+def _old_quotient_fields(action):
+    x, h = action.graph, action.group
+    vperms, eperms = action.vertex_perms.tolist(), action.edge_perms.tolist()
+    _, orbit_of, rep, shift, _ = _old_orbit_tables(x.n, h, vperms)
+    e_orbits, e_orbit_of_old, _, _, e_members = _old_orbit_tables(x.n_edges, h, eperms)
+    info = []
+    for eo in range(e_orbits):
+        u, v = x.edges[e_members[eo][0]]
+        ou, ov = orbit_of[u], orbit_of[v]
+        src, dst = (ou, ov) if ou < ov else (ov, ou)
+        src_rep = rep[src]
+        lift = next(e for e in e_members[eo] if src_rep in x.edges[e])
+        a, b = x.edges[lift]
+        far = b if a == src_rep else a
+        info.append(((src, dst), (x.label_at(src_rep, lift), x.label_at(far, lift)), shift[far], lift))
+    order = sorted(range(e_orbits), key=lambda eo: info[eo][0])
+    renum = {old: new for new, old in enumerate(order)}
+    edge_rep = [info[old][3] for old in order]
+    edge_shift = [-1] * x.n_edges
+    for eo in range(e_orbits):
+        for hidx in range(h.order):
+            edge_shift[eperms[hidx][edge_rep[eo]]] = hidx
+    return (
+        [info[old][0] for old in order],
+        [info[old][1] for old in order],
+        tuple(info[old][2] for old in order),
+        tuple(orbit_of),
+        tuple(rep),
+        tuple(shift),
+        tuple(renum[eo] for eo in e_orbit_of_old),
+        tuple(edge_rep),
+        tuple(edge_shift),
+    )
+
+
+def _old_pair_orbits(perms_l, perms_r, g, nl, nr):
+    orbit_of = -np.ones((nl, nr), dtype=np.int64)
+    reps = []
+    for x in range(nl):
+        for y in range(nr):
+            if orbit_of[x, y] >= 0:
+                continue
+            members = [(perms_l[h][x], perms_r[g.inv(h)][y]) for h in range(g.order)]
+            assert len(set(members)) == g.order
+            o = len(reps)
+            reps.append(min(members))
+            for mx, my in members:
+                orbit_of[mx, my] = o
+    return tuple(reps), orbit_of
+
+
+def _old_conjugate_witness(group, gens, sub):
+    gen_set = set(gens)
+    for g in range(group.order):
+        for e in sub.elements:
+            h = group.index[e]
+            if h == group.identity:
+                continue
+            c = group.mul(group.mul(g, h), group.inv(g))
+            if c in gen_set:
+                return (g, h, c)
+    return None
+
+
+def _quotient_fields(qd):
+    return (
+        qd.base.edges,
+        qd.base.labels,
+        qd.connection.values,
+        qd.vertex_orbit_of,
+        qd.vertex_rep,
+        qd.vertex_shift,
+        qd.edge_orbit_of,
+        qd.edge_rep,
+        qd.edge_shift,
+    )
+
+
+def _assert_orbit_tables_match(n, h, perms):
+    from bpcodes.graphs import _orbit_tables
+
+    orbit_of, rep, shift = _orbit_tables(n, h, perms)
+    _, old_orbit_of, old_rep, old_shift, _ = _old_orbit_tables(n, h, np.asarray(perms).tolist())
+    assert orbit_of.tolist() == old_orbit_of
+    assert rep.tolist() == old_rep
+    assert shift.tolist() == old_shift
+
+
+def _assert_action_matches(action, graph, group, gens, sub):
+    vperms, eperms = _old_right_action_tables(graph, group, sub)
+    assert action.vertex_perms.tolist() == vperms
+    assert action.edge_perms.tolist() == eperms
+    assert not action.vertex_perms.flags.writeable
+
+
+def _psl7_rotation_graph():
+    """PSL(2,7) on a rho, sigma rotation pair and their inverses; the
+    unipotent subgroup U(7) meets a conjugate of this generator set."""
+    from bpcodes.algebra import build_psl2
+
+    group = build_psl2(7)
+    rho, sigma = find_rotation_pair(group, 3, 7)
+    gens = [sigma, group.inv(sigma), rho, group.inv(rho)]
+    return cayley_graph(group, gens), group, gens
+
+
+def test_lps13_group_layer_matches_loop_reference():
+    from bpcodes.products import _pair_orbits
+    from bpcodes.verify import lps_instance
+
+    inst = lps_instance(5, 13)
+    graph, group, gens = lps_graph(5, 13)
+    assert (graph.edges, graph.labels) == _old_cayley_edges(group, gens)
+    sub = inst.action.group
+    _assert_action_matches(inst.action, graph, group, gens, sub)
+    for perms, n in ((inst.action.vertex_perms, graph.n), (inst.action.edge_perms, graph.n_edges)):
+        _assert_orbit_tables_match(n, sub, perms)
+    assert _quotient_fields(inst.quotient) == tuple(_old_quotient_fields(inst.action))
+    bp = inst.product
+    for (p, q), cell in bp.cells.items():
+        nl, nr = bp.left.dim(p), bp.right.dim(q)
+        reps, orbit_of = _old_pair_orbits(
+            bp.left.perms[p].tolist(), bp.right.perms[q].tolist(), sub, nl, nr
+        )
+        assert cell.reps == reps
+        assert np.array_equal(cell.orbit_of, orbit_of)
+        fresh = _pair_orbits(bp.left.perms[p], bp.right.perms[q], sub, nl, nr)
+        assert fresh.reps == reps and np.array_equal(fresh.orbit_of, orbit_of)
+    rep = check_quotient_condition(group, gens, sub)
+    assert rep.holds and rep.witness is None is _old_conjugate_witness(group, gens, sub)
+
+
+def test_psl7_group_layer_matches_loop_reference():
+    graph, group, gens = _psl7_rotation_graph()
+    assert (graph.edges, graph.labels) == _old_cayley_edges(group, gens)
+    sub = unipotent_subgroup(group)
+    rep = check_quotient_condition(group, gens, sub)
+    assert not rep.holds
+    assert rep.witness == _old_conjugate_witness(group, gens, sub) == (3, 63, 59)
+    # the right action of U(7) has an edge inside an orbit, so compare its
+    # tables through _orbit_tables, then the rejection itself
+    vperms, eperms = _old_right_action_tables(graph, group, sub)
+    _assert_orbit_tables_match(graph.n, sub, vperms)
+    _assert_orbit_tables_match(graph.n_edges, sub, eperms)
+    with pytest.raises(QuotientConditionViolated):
+        cayley_right_action(graph, group, gens, sub)
+
+
+def test_lps7_action_and_quotient_match_loop_reference():
+    graph, group, gens = lps_graph(5, 7)
+    sub = unipotent_subgroup(group)
+    action = cayley_right_action(graph, group, gens, sub)
+    _assert_action_matches(action, graph, group, gens, sub)
+    assert _quotient_fields(quotient_graph(action)) == tuple(_old_quotient_fields(action))
+
+
+@pytest.mark.parametrize("ell,m", [(9, 3), (12, 3), (15, 3), (15, 5), (21, 7), (35, 5)])
+def test_rotated_cycles_match_loop_reference(ell, m):
+    action = cycle_rotation_action(cycle_labeled_graph(ell), m)
+    step = ell // m
+    assert action.vertex_perms.tolist() == [[(v + k * step) % ell for v in range(ell)] for k in range(m)]
+    _assert_orbit_tables_match(ell, action.group, action.vertex_perms)
+    _assert_orbit_tables_match(ell, action.group, action.edge_perms)
+    assert _quotient_fields(quotient_graph(action)) == tuple(_old_quotient_fields(action))
+
+
+def test_z9_witness_matches_loop_reference():
+    z9 = cyclic_group(9)
+    sub = FiniteGroup([0, 3, 6], lambda a, b: (a + b) % 9)
+    assert check_quotient_condition(z9, [3, 6], sub).witness == _old_conjugate_witness(z9, [3, 6], sub)
+    assert check_quotient_condition(z9, [1, 8], sub).witness is None is _old_conjugate_witness(
+        z9, [1, 8], sub
+    )

@@ -393,3 +393,13 @@ def test_cycle_complex_with_action():
     cwa = cycle_complex_with_action(5)
     assert cwa.complex.homology_dim(1) == 1
     assert cwa.group.order == 5
+
+
+def test_complex_with_action_rejects_a_fixed_basis_point():
+    """Z_3 rotates the three edges freely but fixes the single vertex; the
+    all-ones differential commutes with both, so only freeness fails."""
+    cx = one_complex(F2Matrix.from_dense([[1, 1, 1]]))
+    perms = {1: [[(j + k) % 3 for j in range(3)] for k in range(3)], 0: [[0]] * 3}
+    ComplexWithAction(cx, cyclic_group(3), perms, free=False)
+    with pytest.raises(NotFreeOnBasis, match="degree 0"):
+        ComplexWithAction(cx, cyclic_group(3), perms)

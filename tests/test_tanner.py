@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpcodes.classical import (
     exact_distance,
@@ -12,6 +15,7 @@ from bpcodes.classical import (
 from bpcodes.errors import DegreeMismatch
 from bpcodes.f2la import kernel_basis
 from bpcodes.graphs import cycle_labeled_graph, second_eigenvalue
+from bpcodes import tanner
 from bpcodes.tanner import (
     build_tanner,
     check_expansion_theorem7,
@@ -156,3 +160,38 @@ def test_tanner_report(tmp_path):
     from bpcodes.f2la import read_alist
 
     assert read_alist(path) == t.differential()
+
+
+def _loop_scan_exhaustive(columns, n, beta, max_w):
+    """The chain-by-chain scan that the blocked numpy scan replaced."""
+    violations, worst, enumerated = 0, math.inf, 0
+    for lead in range(n):
+        for w in range(1, max_w + 1):
+            for rest in itertools.combinations(range(lead + 1, n), w - 1):
+                img = columns[lead]
+                for j in rest:
+                    img ^= columns[j]
+                enumerated += 1
+                out = img.bit_count()
+                if beta > 0:
+                    worst = min(worst, out / (beta * w))
+                    if out < beta * w - 1e-9:
+                        violations += 1
+    return enumerated, violations, worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 14),
+    st.sampled_from([1, 5, 64, 65, 150]),
+    st.integers(1, 4),
+    st.sampled_from([-1.0, 0.0, 0.3, 0.9, 1.7]),
+    st.sampled_from([1, 2, 7, 1 << 15]),
+    st.data(),
+)
+def test_scan_exhaustive_matches_loop(n, bits, max_w, beta, block, data):
+    columns = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=n, max_size=n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "_SCAN_BLOCK", block)
+        got = tanner._scan_exhaustive(columns, n, beta, max_w)
+    assert got == _loop_scan_exhaustive(columns, n, beta, max_w)
