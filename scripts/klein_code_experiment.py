@@ -8,7 +8,6 @@ import sys
 
 sys.path.insert(0, "src")
 
-from bpcodes.classical import exact_distance, min_weight_gray
 from bpcodes.f2la import kernel_basis
 from bpcodes.tanner import klein_tanner_code, tanner_code, tanner_report
 

@@ -19,13 +19,13 @@ from .errors import (
     DuplicateLocator,
     IncompatibleLength,
     LocatorRoot,
+    NoLogicals,
     SearchExhausted,
     TooLarge,
 )
 from .f2la import F2Matrix, kernel_basis, rank, rref
 
-EXACT_DISTANCE_CAP_K = 28
-_GRAY_LOOP_CAP_K = 20
+ENUMERATION_CAP = 28  # rows an exact distance may span: 2^28 combinations
 
 
 @dataclass(frozen=True)
@@ -78,67 +78,86 @@ class LinearCode:
         return replace(self, d=d)
 
 
-def exact_distance(code: LinearCode, cap_k: int = EXACT_DISTANCE_CAP_K) -> int:
+def exact_distance(code: LinearCode) -> int:
     """Exact minimum nonzero codeword weight by message-space enumeration.
 
-    Gray-code walk for small k, meet-in-the-middle over numpy-packed
-    halves otherwise. Raises TooLarge above 2^cap_k messages and
-    DomainError for the zero code.
+    Raises TooLarge above 2^ENUMERATION_CAP messages and DomainError for
+    the zero code.
     """
-    k = code.k
-    if k == 0:
+    if code.k == 0:
         raise DomainError("zero code has no nonzero codewords")
-    if k > cap_k:
-        raise TooLarge(f"2^{k} codewords exceed the enumeration cap")
-    rows = code.gen.row_ints()
-    if k <= _GRAY_LOOP_CAP_K:
-        best = min_weight_gray(rows)
-    else:
-        best = _min_weight_mitm(code.gen)
+    return _min_detected_weight(code.gen.row_ints(), [1 << i for i in range(code.k)], code.n)
+
+
+def dual_distance(code: LinearCode) -> int:
+    """Minimum distance of the dual code, enumerated unless already known."""
+    dual = dual_code(code)
+    return dual.d if dual.d is not None else exact_distance(dual)
+
+
+_PAIR_BLOCK = 1 << 22  # word pairs scanned at once by _min_detected_weight
+
+
+def _min_detected_weight(rows: list[int], images: list[int], n: int) -> int:
+    """Minimum |x| over XORs x of subsets of ``rows`` (bitsets of width
+    ``n``) whose XOR of the matching ``images`` (bitsets of any width) is
+    nonzero.
+
+    Meet in the middle: the rows split into two halves, detected rows
+    (nonzero image) first, and each half's span is built by doubling as
+    packed words plus packed images. A pair of words, one from each half,
+    is a detected combination exactly when their images differ. Raises
+    TooLarge above ENUMERATION_CAP rows and NoLogicals when no
+    combination is detected.
+    """
+    if len(rows) > ENUMERATION_CAP:
+        raise TooLarge(f"2^{len(rows)} combinations exceed the enumeration cap")
+    order = sorted(range(len(rows)), key=lambda i: images[i] == 0)
+    words = F2Matrix.from_rows([rows[i] for i in order], n).data
+    image_bits = max((v.bit_length() for v in images), default=0)
+    image_words = F2Matrix.from_rows([images[i] for i in order], image_bits).data
+    half = len(rows) // 2
+    left, right = _span(words[:half]), _span(words[half:])
+    # equal ids <=> equal images, whatever the image width
+    _, ids = np.unique(
+        np.vstack([_span(image_words[:half]), _span(image_words[half:])]),
+        axis=0,
+        return_inverse=True,
+    )
+    left_ids, right_ids = ids.reshape(-1)[: len(left)], ids.reshape(-1)[len(left) :]
+    # right words sharing each left word's image: those pairs are masked.
+    # Left words masked against every right word are dropped; with the
+    # detected rows first that is often the whole undetected part of the
+    # left span, and the rest then needs no mask at all.
+    clashes = np.bincount(right_ids, minlength=len(ids))[left_ids]
+    keep = clashes < len(right)
+    left, left_ids, clashes = left[keep], left_ids[keep], clashes[keep]
+    acc = np.min_scalar_type(n + 1)  # holds every weight and the mask value n + 1
+    best = n + 1
+    step = max(1, _PAIR_BLOCK // len(right))
+    xor = np.empty((min(step, len(left)), len(right)), dtype=np.uint64)
+    weight = np.empty(xor.shape, dtype=acc)
+    for lo in range(0, len(left), step):
+        block = left[lo : lo + step]
+        x, w = xor[: len(block)], weight[: len(block)]
+        w.fill(0)
+        for j in range(words.shape[1]):
+            np.bitwise_xor(block[:, None, j], right[None, :, j], out=x)
+            w += np.bitwise_count(x)
+        if clashes[lo : lo + step].any():
+            w[left_ids[lo : lo + step, None] == right_ids[None, :]] = n + 1
+        best = min(best, int(w.min()))
+    if best > n:
+        raise NoLogicals("no combination of the rows is detected")
     return best
 
 
-def min_weight_gray(rows: list[int]) -> int:
-    """Minimum weight over nonzero GF(2) combinations of the given rows."""
-    k = len(rows)
-    cur = 0
-    best = None
-    for i in range(1, 1 << k):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        w = cur.bit_count()
-        if w and (best is None or w < best):
-            best = w
-    if best is None:
-        raise DomainError("all combinations vanish; rows were dependent")
-    return best
-
-
-def _min_weight_mitm(gen: F2Matrix) -> int:
-    k = gen.rows
-    ka = k // 2
-    left = _span_packed(gen.submatrix_rows(range(ka)))
-    right = _span_packed(gen.submatrix_rows(range(ka, k)))
-    best = np.iinfo(np.int64).max
-    chunk = max(1, (1 << 22) // max(1, right.shape[0]))
-    for start in range(0, left.shape[0], chunk):
-        block = left[start : start + chunk]
-        xored = block[:, None, :] ^ right[None, :, :]
-        weights = np.bitwise_count(xored).sum(axis=2)
-        if start == 0:
-            weights[0, 0] = np.iinfo(np.int64).max  # exclude the zero word
-        best = min(best, int(weights.min()))
-    return best
-
-
-def _span_packed(gen: F2Matrix) -> np.ndarray:
-    """All 2^rows combinations as packed uint64 rows, in Gray-walk order
-    starting from zero."""
-    k = gen.rows
-    out = np.zeros((1 << k, gen.data.shape[1]), dtype=np.uint64)
-    cur = np.zeros(gen.data.shape[1], dtype=np.uint64)
-    for i in range(1, 1 << k):
-        cur = cur ^ gen.data[(i & -i).bit_length() - 1]
-        out[i] = cur
+def _span(rows: np.ndarray) -> np.ndarray:
+    """All 2^len(rows) XORs of subsets of the packed rows, by doubling:
+    entry i combines the rows at the set bits of i."""
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        out[1 << i : 2 << i] = out[: 1 << i] ^ row
     return out
 
 
@@ -293,7 +312,7 @@ def bch_code(s: int, t: int) -> LinearCode:
     code = replace(code, cyclic=True)
     if code.k < s - m * t:
         raise DomainError("BCH dimension fell below s - m*t")
-    if code.k <= EXACT_DISTANCE_CAP_K and code.k > 0:
+    if code.k <= ENUMERATION_CAP and code.k > 0:
         d = exact_distance(code)
         if d < 2 * t + 1:
             raise DomainError(f"designed distance violated: d={d} < {2 * t + 1}")
@@ -353,7 +372,7 @@ def gv_plus_search(
     if not (0 < delta < 0.11):
         raise DomainError("delta must lie in (0, 0.11)")
     k = int(math.floor(rate_floor * s)) + 1
-    if k > EXACT_DISTANCE_CAP_K or s - k > EXACT_DISTANCE_CAP_K:
+    if k > ENUMERATION_CAP or s - k > ENUMERATION_CAP:
         raise TooLarge("distance enumeration infeasible at this size")
     target = math.ceil(delta * s)
     h2 = binary_entropy(delta)

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .algebra import is_prime, legendre, unipotent_subgroup
-from .classical import local_code_from_spec
+from .classical import dual_distance, local_code_from_spec
 from .errors import BpcodesError, BundleCorrupt, DegreeMismatch, RecipeInvalid
 from .f2la import F2Matrix, rank, read_alist, write_alist
 from .graphs import (
@@ -152,7 +152,6 @@ def build_instance(recipe: Recipe) -> tuple[TannerComplex, GraphAction, dict]:
 
 def build_bundle(recipe: Recipe, out_dir: str) -> BuildResult:
     """Run the full pipeline and write the code bundle to out_dir."""
-    recipe = recipe.validated()
     tanner, action, info = build_instance(recipe)
     graph = tanner.graph
 
@@ -161,7 +160,7 @@ def build_bundle(recipe: Recipe, out_dir: str) -> BuildResult:
     info["ramanujan_bound"] = 2 * math.sqrt(graph.s - 1)
 
     inst = circle_balanced_product(tanner, action)
-    split = homology_split(inst, with_projections=inst.product.total.dim(1) <= 512)
+    split = homology_split(inst)
     if not pi_iota_is_identity(split):
         raise BpcodesError("fiber sum does not invert the lift; construction bug")
 
@@ -239,11 +238,9 @@ def _safe_beta7(s, lam2, d_local, alpha):
 
 
 def _safe_beta8(tanner: TannerComplex, lam2, alpha):
-    from .classical import dual_code, exact_distance
     from .tanner import theorem8_beta
 
-    dual = dual_code(tanner.local)
-    dd = dual.d if dual.d is not None else exact_distance(dual)
+    dd = dual_distance(tanner.local)
     return theorem8_beta(tanner.graph.s, lam2, tanner.local.k, dd, alpha)
 
 
@@ -286,10 +283,19 @@ def load_and_validate_bundle(out_dir: str) -> dict:
     """Reload a bundle and recheck its stored claims.
 
     Verifies commuting checks, declared dimensions, the recomputed
-    homology count, and the bundle hash.
+    homology count, that the logical and gauge representatives are cycles,
+    and the bundle hash. A params.json that is not a JSON object holding
+    the checked keys raises BundleCorrupt.
     """
-    with open(os.path.join(out_dir, "params.json")) as f:
-        params = json.load(f)
+    path = os.path.join(out_dir, "params.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            params = json.load(f)
+    except ValueError as exc:  # malformed JSON or text
+        raise BundleCorrupt(f"{path}: {exc}") from exc
+    checked = ("N", "k_homology", "K_logical", "gauge", "bundle_hash")
+    if not isinstance(params, dict) or not all(key in params for key in checked):
+        raise BundleCorrupt(f"{path}: not an object holding {', '.join(checked)}")
     hx = read_alist(os.path.join(out_dir, "hx.alist"))
     hz = read_alist(os.path.join(out_dir, "hz.alist"))
     if not hx.matmul(hz.transpose()).is_zero():
@@ -303,8 +309,9 @@ def load_and_validate_bundle(out_dir: str) -> dict:
     gm = _read_rows(os.path.join(out_dir, "gauge_z.txt"), hx.cols)
     if lm.rows != params["K_logical"] or gm.rows != params["gauge"]:
         raise BpcodesError("representative counts disagree with params.json")
-    if not hx.matmul(lm.transpose()).is_zero():
-        raise BpcodesError("logical representatives are not cycles")
+    for name, reps in (("logical", lm), ("gauge", gm)):
+        if not hx.matmul(reps.transpose()).is_zero():
+            raise BpcodesError(f"{name} representatives are not cycles")
     if params["bundle_hash"] != _bundle_hash(hx, hz, lm, gm):
         raise BpcodesError("bundle hash mismatch")
     return params

@@ -41,6 +41,8 @@ from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, solve, solve_ma
 from .graphs import GraphAction, QuotientData, quotient_graph
 from .tanner import TannerComplex, build_tanner
 
+PROJECTION_CAP_DIM = 512  # middle cells up to which homology_split builds projections
+
 
 # -- complexes carrying a group action -------------------------------------
 
@@ -568,7 +570,7 @@ def circle_balanced_product(
     from .complexes import cycle_graph_complex
 
     rotations = _rotations(ell, powers)
-    right = ComplexWithAction(cycle_graph_complex(ell), h, {0: rotations, 1: rotations}, free=ell > 1)
+    right = ComplexWithAction(cycle_graph_complex(ell), h, {0: rotations, 1: rotations})
 
     bp = balanced_product(left, right)
 
@@ -754,7 +756,7 @@ class HomologySplit:
         return self.homology_reps.rows
 
 
-def homology_split(inst: CircleProductInstance, with_projections: bool = True) -> HomologySplit:
+def homology_split(inst: CircleProductInstance) -> HomologySplit:
     """Compute the horizontal/vertical splitting of H_1 of the product.
 
     The fiber-sum functional (add each edge's coefficients over its orbit)
@@ -762,15 +764,16 @@ def homology_split(inst: CircleProductInstance, with_projections: bool = True) -
     composed with the full-fiber lift is the identity on the base code
     because the cyclic order is odd.
 
-    ``with_projections=False`` skips materializing a homology basis and
-    the projection matrices (the split representatives and dimension
-    checks remain); use it on instances too large for basis extraction.
+    Above PROJECTION_CAP_DIM middle cells the homology basis and the
+    projection matrices are not materialized (``p_h`` and ``p_v`` have no
+    columns); the split representatives and dimension checks remain.
     """
     bp = inst.product
     tot = bp.total
     qd = inst.quotient
     ell = inst.action.group.order
     n1 = tot.dim(1)
+    with_projections = n1 <= PROJECTION_CAP_DIM
     n_edges_total = inst.tanner.graph.n_edges
     u_dim = bp.cell_dim(1, 0)
     if u_dim != n_edges_total:

@@ -3,10 +3,10 @@
 Qubits sit on the chosen degree's cells; the X checks are the outgoing
 differential and the Z checks the transpose of the incoming one, so
 stabilizer commutation is the chain condition itself. Distances are exact
-by enumeration where feasible (meet-in-the-middle over the boundary
-space, or a Gray walk over the cycle space for subsystem codes) and are
-otherwise reported as explicit (lower, upper) bound pairs, never as
-exact values.
+by enumeration up to ENUMERATION_CAP spanning rows (one meet-in-the-middle
+kernel, shared with the classical distances); dressed distances above the
+cap are reported as explicit (lower, upper) bound pairs, never as exact
+values.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import ENUMERATION_CAP, _min_detected_weight
 from .complexes import ChainComplex
-from .errors import DegreeOutOfRange, DomainError, NoLogicals, TooLarge
+from .errors import DegreeOutOfRange, DomainError, NoLogicals
 from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, rref
 from .products import CircleProductInstance, HomologySplit
 
-MITM_CAP_DIM = 30  # boundary-space dimension cap for meet-in-the-middle
-GRAY_CAP_DIM = 26  # cycle-space dimension cap for the subsystem Gray walk
+SAMPLED_DRAWS = 2000  # random cycle combinations behind a sampled upper bound
+SAMPLED_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -58,83 +59,29 @@ def css_from_complex(cx: ChainComplex, i: int) -> CssCode:
     return CssCode(n=n, hx=hx, hz=hz, k=k)
 
 
-def exact_css_distance(code: CssCode, kind: str, cap_dim: int = MITM_CAP_DIM) -> int:
+def exact_css_distance(code: CssCode, kind: str) -> int:
     """Exact minimum weight of a nontrivial logical operator.
 
     kind "z": minimum over ker H_X minus the row space of H_Z (homology
-    representatives); kind "x" dually. Enumerates the 2^k logical
-    combinations against the full boundary space via meet-in-the-middle,
-    so it needs the boundary dimension at most cap_dim.
+    representatives); kind "x" dually. Enumerates the span of the k
+    logical representatives and a boundary basis, counting a word when its
+    logical part is nonzero, so it needs k plus the boundary dimension at
+    most ENUMERATION_CAP; raises TooLarge above that.
     """
     if code.k == 0:
         raise NoLogicals("code has no logical qubits")
     if kind == "z":
-        cycles, bounds = kernel_basis(code.hx).basis, _row_basis(code.hz)
+        cycles, bounds = kernel_basis(code.hx).basis, rref(code.hz)[0]
     elif kind == "x":
-        cycles, bounds = kernel_basis(code.hz).basis, _row_basis(code.hx)
+        cycles, bounds = kernel_basis(code.hz).basis, rref(code.hx)[0]
     else:
         raise DomainError("kind must be 'x' or 'z'")
     span = IncrementalSpan(bounds.row_ints())
     logical_reps = [v for v in cycles.row_ints() if span.add(v)]
     if len(logical_reps) != code.k:
         raise DomainError("logical representative extraction failed")
-    if bounds.rows > cap_dim:
-        raise TooLarge(f"boundary dimension {bounds.rows} exceeds cap {cap_dim}")
-    if code.k > 24:
-        raise TooLarge("too many logical classes to enumerate")
-    return _min_weight_over_nontrivial_cosets(logical_reps, bounds, code.n)
-
-
-def _row_basis(m: F2Matrix) -> F2Matrix:
-    r, _ = rref(m)
-    return r
-
-
-def _pack_ints(vals: list[int], n_bits: int) -> np.ndarray:
-    words = max(1, (n_bits + 63) // 64)
-    out = np.zeros((len(vals), words), dtype=np.uint64)
-    for i, v in enumerate(vals):
-        out[i] = np.frombuffer(v.to_bytes(words * 8, "little"), dtype=np.uint64)
-    return out
-
-
-def _min_weight_over_nontrivial_cosets(
-    logical_reps: list[int], bounds: F2Matrix, n: int
-) -> int:
-    """min over nonzero logical combos c of min over the boundary space of
-    |c + b|, by meet-in-the-middle across a split of the boundary basis."""
-    b_rows = bounds.row_ints()
-    nb = len(b_rows)
-    half = nb // 2
-    left = _gray_span(b_rows[:half])
-    right = _gray_span(b_rows[half:])
-    left_arr = _pack_ints(left, n)
-    right_arr = _pack_ints(right, n)
-    best = n + 1
-    k = len(logical_reps)
-    for combo in range(1, 1 << k):
-        base = 0
-        cc = combo
-        while cc:
-            base ^= logical_reps[(cc & -cc).bit_length() - 1]
-            cc &= cc - 1
-        base_arr = _pack_ints([base], n)[0]
-        shifted = left_arr ^ base_arr[None, :]
-        chunk = max(1, (1 << 22) // max(1, right_arr.shape[0]))
-        for start in range(0, shifted.shape[0], chunk):
-            blk = shifted[start : start + chunk]
-            w = np.bitwise_count(blk[:, None, :] ^ right_arr[None, :, :]).sum(axis=2)
-            best = min(best, int(w.min()))
-    return best
-
-
-def _gray_span(rows: list[int]) -> list[int]:
-    out = [0] * (1 << len(rows))
-    cur = 0
-    for i in range(1, 1 << len(rows)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        out[i] = cur
-    return out
+    images = [1 << i for i in range(code.k)] + [0] * bounds.rows
+    return _min_detected_weight(logical_reps + bounds.row_ints(), images, code.n)
 
 
 # -- subsystem codes ---------------------------------------------------------
@@ -193,18 +140,16 @@ class DistanceResult:
 def dressed_distance(
     code: SubsystemCssCode,
     kind: str,
-    cap_dim: int = GRAY_CAP_DIM,
     lower_bound: float | None = None,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> DistanceResult:
     """Minimum weight over chains acting nontrivially on the logical part.
 
     Z side: cycles of the middle differential whose fiber sum is a nonzero
     base codeword. X side: cocycles pairing nontrivially with some
-    horizontal representative. Exact by a Gray walk over the cycle space
-    when its dimension is at most cap_dim, otherwise a (lower, upper)
-    bound pair from the supplied formula bound and sampled representatives.
+    horizontal representative. Exact by enumerating the cycle space when
+    its dimension is at most ENUMERATION_CAP, otherwise a (lower, upper)
+    bound pair from the supplied formula bound and SAMPLED_DRAWS random
+    cycle combinations.
     """
     tot = code.instance.product.total
     if kind == "z":
@@ -218,13 +163,12 @@ def dressed_distance(
     if code.num_logical == 0:
         raise NoLogicals("no logical classes to protect")
 
-    if cycles.rows <= cap_dim:
-        val = _gray_min_weight_detected(cycles, detect)
-        return DistanceResult(value=val)
+    if cycles.rows <= ENUMERATION_CAP:
+        return DistanceResult(value=_min_detected_weight_of(cycles, detect))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLED_SEED)
     best_upper = None
-    for _ in range(samples):
+    for _ in range(SAMPLED_DRAWS):
         coeffs = rng.integers(0, 2, cycles.rows)
         z = 0
         for i, c in enumerate(coeffs):
@@ -237,10 +181,10 @@ def dressed_distance(
     return DistanceResult(value=None, lower=lower_bound, upper=best_upper)
 
 
-def bare_distance(code: SubsystemCssCode, kind: str, cap_dim: int = GRAY_CAP_DIM) -> int:
+def bare_distance(code: SubsystemCssCode, kind: str) -> int:
     """Minimum weight over representatives of nontrivial purely-logical
     classes (no gauge additions allowed); always at least the dressed
-    distance."""
+    distance. Raises TooLarge above ENUMERATION_CAP spanning rows."""
     tot = code.instance.product.total
     split = code.split
     if kind == "z":
@@ -254,31 +198,13 @@ def bare_distance(code: SubsystemCssCode, kind: str, cap_dim: int = GRAY_CAP_DIM
         detect = split.h_reps
     else:
         raise DomainError("kind must be 'x' or 'z'")
-    if span_rows.rows > cap_dim:
-        raise TooLarge("span too large for the Gray walk")
-    return _gray_min_weight_detected(span_rows, detect)
+    return _min_detected_weight_of(span_rows, detect)
 
 
-def _gray_min_weight_detected(cycles: F2Matrix, detect: F2Matrix) -> int:
-    """min |z| over the cycle span with detect(z) != 0, via a Gray walk that
-    tracks the detector image incrementally."""
-    k = cycles.rows
-    imgs = [detect.mul_vec_int(cycles.row_int(i)) for i in range(k)]
-    rows = cycles.row_ints()
-    cur = 0
-    cur_img = 0
-    best = None
-    for i in range(1, 1 << k):
-        j = (i & -i).bit_length() - 1
-        cur ^= rows[j]
-        cur_img ^= imgs[j]
-        if cur_img:
-            w = cur.bit_count()
-            if best is None or w < best:
-                best = w
-    if best is None:
-        raise NoLogicals("no detected chain in the cycle space")
-    return best
+def _min_detected_weight_of(rows: F2Matrix, detect: F2Matrix) -> int:
+    """min |z| over the row span with detect(z) != 0."""
+    ints = rows.row_ints()
+    return _min_detected_weight(ints, [detect.mul_vec_int(r) for r in ints], rows.cols)
 
 
 # -- formula bounds -----------------------------------------------------------

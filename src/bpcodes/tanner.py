@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import LinearCode, dual_code, exact_distance
+from .classical import LinearCode, dual_distance, exact_distance
 from .complexes import ChainComplex, one_complex
 from .errors import DegreeMismatch, DomainError
 from .f2la import F2Matrix
@@ -184,9 +184,7 @@ def check_expansion_theorem8(
     |y| <= alpha |X^0| (s - k_L), using the transposed differential."""
     if lam2 is None:
         lam2 = second_eigenvalue(t.graph)
-    dual = dual_code(t.local)
-    d_dual = dual.d if dual.d is not None else exact_distance(dual)
-    beta = theorem8_beta(t.graph.s, lam2, t.local.k, d_dual, alpha)
+    beta = theorem8_beta(t.graph.s, lam2, t.local.k, dual_distance(t.local), alpha)
     m0 = t.complex.dim(0)
     rows = t.differential().row_ints()
     max_weight = int(alpha * m0)

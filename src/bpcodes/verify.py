@@ -246,7 +246,7 @@ def rate_suite(include_lps: bool = True) -> SuiteResult:
             f"{dim_h} = {base_k}",
         )
         res.check(f"{name} K >= counting bound", base_k >= bound, f"{base_k} >= {bound}")
-        split = homology_split(inst, with_projections=inst.product.total.dim(1) <= 512)
+        split = homology_split(inst)
         res.check(f"{name} split spans H1", split.dim_h + split.dim_v == inst.product.total.homology_dim(1))
         res.check(f"{name} fiber sum inverts lift", pi_iota_is_identity(split))
     return res

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bpcodes.algebra import GF2m
 from bpcodes.classical import (
     LinearCode,
+    _min_detected_weight,
     bch_code,
     binary_entropy,
     dual_code,
@@ -18,7 +19,6 @@ from bpcodes.classical import (
     gv_plus_search,
     hamming_7_4,
     local_code_from_spec,
-    min_weight_gray,
     moreno_moreno_dual_bound,
     random_separable_goppa,
     repetition_code,
@@ -29,6 +29,7 @@ from bpcodes.errors import (
     DuplicateLocator,
     IncompatibleLength,
     LocatorRoot,
+    NoLogicals,
     TooLarge,
 )
 from bpcodes.f2la import F2Matrix, rank
@@ -108,13 +109,34 @@ def test_exact_distance_zero_code():
         exact_distance(z)
 
 
-def test_mitm_matches_gray():
-    rng = np.random.default_rng(3)
-    g = F2Matrix.from_dense(rng.integers(0, 2, (21, 40)))
-    code = LinearCode.from_gen(g)
-    from bpcodes.classical import _min_weight_mitm
+@st.composite
+def detected_spans(draw):
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    k = draw(st.integers(0, 12))
+    image_bits = draw(st.sampled_from([0, 1, 3, 70]))  # 0: no row is detected
+    rows = draw(st.lists(st.integers(0, 2**n - 1), min_size=k, max_size=k))
+    images = draw(st.lists(st.integers(0, 2**image_bits - 1), min_size=k, max_size=k))
+    return rows, images, n
 
-    assert _min_weight_mitm(code.gen) == min_weight_gray(code.gen.row_ints())
+
+@settings(max_examples=200, deadline=None)
+@given(detected_spans())
+def test_min_detected_weight_matches_brute_force(span):
+    rows, images, n = span
+    best = None
+    for subset in range(1, 1 << len(rows)):
+        word = image = 0
+        for i in range(len(rows)):
+            if (subset >> i) & 1:
+                word ^= rows[i]
+                image ^= images[i]
+        if image and (best is None or word.bit_count() < best):
+            best = word.bit_count()
+    if best is None:
+        with pytest.raises(NoLogicals):
+            _min_detected_weight(rows, images, n)
+    else:
+        assert _min_detected_weight(rows, images, n) == best
 
 
 # -- BCH ----------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Fails when a package module imports a name it never uses (``__init__.py``
 and ``__future__`` imports are exempt) or re-imports inside a function a
 name its module already imports at top level, and when a function or class
-defined in the package is named nowhere in src/, tests/, scripts/ or
-perfbench/: not as a name, not as an attribute, and not as a string
-constant that spells a (dotted) identifier, the way ``getattr`` targets
-and the tracer's wrapped-function list do.
+defined in the package, or an UPPER_CASE constant assigned at module level
+there, is named nowhere in src/, tests/, scripts/ or perfbench/: not as a
+name read, not as an attribute, and not as a string constant that spells a
+(dotted) identifier, the way ``getattr`` targets and the tracer's
+wrapped-function list do. An assignment does not name its target.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bpcodes"
 SEARCHED = ("src", "tests", "scripts", "perfbench")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+CONSTANT = re.compile(r"_*[A-Z][A-Z0-9_]*")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -65,7 +67,7 @@ def _named_anywhere() -> set[str]:
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     named.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     named.add(node.attr)
@@ -90,3 +92,22 @@ def test_every_definition_is_named_somewhere():
             if node.name not in named:
                 unnamed.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unnamed, "defined but never named:\n" + "\n".join(unnamed)
+
+
+def test_every_constant_is_named_somewhere():
+    named = _named_anywhere()
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if (
+                    isinstance(target, ast.Name)
+                    and CONSTANT.fullmatch(target.id)
+                    and target.id not in named
+                ):
+                    unnamed.append(f"{path.name}:{node.lineno} {target.id}")
+    assert not unnamed, "assigned but never named:\n" + "\n".join(unnamed)

@@ -190,10 +190,29 @@ def test_row_files_roundtrip(rows, cols, seed):
         assert _read_rows(path, cols) == m
 
 
+EDIT_OPS = st.sampled_from(["replace", "delete", "insert", "truncate"])
+
+
+def _edit_file(path, op, where, byte):
+    with open(path, "rb") as f:
+        raw = bytearray(f.read())
+    i = where % len(raw)
+    if op == "replace":
+        raw[i] = byte
+    elif op == "delete":
+        del raw[i]
+    elif op == "insert":
+        raw.insert(i, byte)
+    else:
+        del raw[i:]
+    with open(path, "wb") as f:
+        f.write(raw)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(BUNDLE_FILES),
-    st.sampled_from(["replace", "delete", "insert", "truncate"]),
+    EDIT_OPS,
     st.integers(0, 10**6),
     st.sampled_from(list(b"0123456789 \n-x") + [0xFF]),
 )
@@ -203,25 +222,57 @@ def test_corrupted_bundle_rejected(toy_bundle, name, op, where, byte):
     src, params = toy_bundle
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(src, tmp, dirs_exist_ok=True)
-        path = os.path.join(tmp, name)
-        with open(path, "rb") as f:
-            raw = bytearray(f.read())
-        i = where % len(raw)
-        if op == "replace":
-            raw[i] = byte
-        elif op == "delete":
-            del raw[i]
-        elif op == "insert":
-            raw.insert(i, byte)
-        else:
-            del raw[i:]
-        with open(path, "wb") as f:
-            f.write(raw)
+        _edit_file(os.path.join(tmp, name), op, where, byte)
         try:
             reloaded = load_and_validate_bundle(tmp)
         except BpcodesError:
             return
         assert reloaded == params
+
+
+@settings(max_examples=150, deadline=None)
+@given(EDIT_OPS, st.integers(0, 10**6), st.sampled_from(list(b'0123456789 \n-x{}[]":,.eE') + [0xFF]))
+def test_edited_params_raise_only_package_errors(toy_bundle, op, where, byte):
+    """An edited params.json either reloads or fails with a BpcodesError."""
+    src, _ = toy_bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, tmp, dirs_exist_ok=True)
+        _edit_file(os.path.join(tmp, "params.json"), op, where, byte)
+        try:
+            load_and_validate_bundle(tmp)
+        except BpcodesError:
+            pass
+
+
+@pytest.mark.parametrize("key", ["N", "k_homology", "K_logical", "gauge", "bundle_hash"])
+def test_params_missing_key_is_corrupt(toy_bundle, key):
+    src, params = toy_bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, tmp, dirs_exist_ok=True)
+        with open(os.path.join(tmp, "params.json"), "w") as f:
+            json.dump({k: v for k, v in params.items() if k != key}, f)
+        with pytest.raises(BundleCorrupt):
+            load_and_validate_bundle(tmp)
+
+
+def test_gauge_row_off_the_cycles_rejected(toy_bundle):
+    """A gauge row that is not a cycle fails even under a matching hash."""
+    from bpcodes.f2la import read_alist
+    from bpcodes.pipeline import _bundle_hash, _read_rows, _write_rows
+
+    src, params = toy_bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, tmp, dirs_exist_ok=True)
+        hx = read_alist(os.path.join(tmp, "hx.alist"))
+        hz = read_alist(os.path.join(tmp, "hz.alist"))
+        lm = _read_rows(os.path.join(tmp, "logicals_z.txt"), hx.cols)
+        gm = F2Matrix.from_entries(1, hx.cols, [(0, 0)])  # one qubit: a chain with a boundary
+        assert not hx.matmul(gm.transpose()).is_zero()
+        _write_rows(os.path.join(tmp, "gauge_z.txt"), gm)
+        with open(os.path.join(tmp, "params.json"), "w") as f:
+            json.dump({**params, "bundle_hash": _bundle_hash(hx, hz, lm, gm)}, f)
+        with pytest.raises(BpcodesError, match="gauge"):
+            load_and_validate_bundle(tmp)
 
 
 @pytest.mark.parametrize(
@@ -230,6 +281,8 @@ def test_corrupted_bundle_rejected(toy_bundle, name, op, where, byte):
         ("hx.alist", "18 9\n", AlistTruncated),
         ("logicals_z.txt", "0101\n", BundleCorrupt),
         ("gauge_z.txt", "2" * 18 + "\n", BundleCorrupt),
+        ("params.json", '{"N": 18, "k_homo', BundleCorrupt),
+        ("params.json", "[18, 2, 1, 1]", BundleCorrupt),
     ],
 )
 def test_bundle_loader_names_the_fault(toy_bundle, name, text, error):

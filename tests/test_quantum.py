@@ -3,14 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from bpcodes.classical import repetition_code
+from bpcodes import classical, quantum
+from bpcodes.classical import LinearCode, exact_distance, repetition_code
 from bpcodes.complexes import ChainComplex, cycle_graph_complex, one_complex, tensor_complex
-from bpcodes.errors import DegreeOutOfRange, DomainError, NoLogicals
-from bpcodes.f2la import F2Matrix
+from bpcodes.errors import DegreeOutOfRange, DomainError, NoLogicals, TooLarge
+from bpcodes.f2la import F2Matrix, kernel_basis
 from bpcodes.graphs import cycle_labeled_graph, cycle_rotation_action
 from bpcodes.products import circle_balanced_product, homology_split
 from bpcodes.quantum import (
     BoundReport,
+    bare_distance,
     css_from_complex,
     dressed_distance,
     exact_css_distance,
@@ -160,8 +162,6 @@ def _oracle_dressed(sub, kind: str) -> int:
 def test_dressed_at_most_bare(toy_subsystem):
     # allowing gauge additions can only shrink the minimum; the plain CSS
     # distance scans even pure-gauge classes, so it sits below both
-    from bpcodes.quantum import bare_distance
-
     for kind in ("z", "x"):
         dressed = dressed_distance(toy_subsystem, kind).value
         bare = bare_distance(toy_subsystem, kind)
@@ -181,6 +181,50 @@ def test_no_gauge_reduces_to_plain_distance():
     assert split.dim_v == 0
     sub = subsystem_from_split(inst, split)
     assert dressed_distance(sub, "z").value == exact_css_distance(sub.base, "z")
+
+
+def _toric(ell):
+    return css_from_complex(tensor_complex(cycle_graph_complex(ell), cycle_graph_complex(ell)), 1)
+
+
+@pytest.mark.parametrize("case", ["classical", "css_z", "css_x", "bare_z", "bare_x"])
+def test_too_large_exactly_above_the_cap(monkeypatch, toy_subsystem, case):
+    """Each exact distance enumerates at most ENUMERATION_CAP spanning rows."""
+    tot = toy_subsystem.instance.product.total
+    split = toy_subsystem.split
+    call, dim = {
+        "classical": (lambda: exact_distance(LinearCode.from_gen(F2Matrix.identity(6))), 6),
+        # k = 2 logical representatives plus 8 independent checks of the other type
+        "css_z": (lambda: exact_css_distance(_toric(3), "z"), 10),
+        "css_x": (lambda: exact_css_distance(_toric(3), "x"), 10),
+        "bare_z": (
+            lambda: bare_distance(toy_subsystem, "z"),
+            split.h_reps.rows + tot.boundary_space(1).dim,
+        ),
+        "bare_x": (
+            lambda: bare_distance(toy_subsystem, "x"),
+            split.fiber_sum.rows + tot.differential(1).rows,
+        ),
+    }[case]
+    monkeypatch.setattr(classical, "ENUMERATION_CAP", dim)
+    assert call() >= 1
+    monkeypatch.setattr(classical, "ENUMERATION_CAP", dim - 1)
+    with pytest.raises(TooLarge):
+        call()
+
+
+@pytest.mark.parametrize("kind", ["z", "x"])
+def test_dressed_distance_samples_above_the_cap(monkeypatch, toy_subsystem, kind):
+    tot = toy_subsystem.instance.product.total
+    checks = tot.differential(1) if kind == "z" else tot.differential(2).transpose()
+    dim = kernel_basis(checks).basis.rows
+    exact = dressed_distance(toy_subsystem, kind).value
+    monkeypatch.setattr(quantum, "ENUMERATION_CAP", dim)
+    assert dressed_distance(toy_subsystem, kind, lower_bound=0.5).value == exact
+    monkeypatch.setattr(quantum, "ENUMERATION_CAP", dim - 1)
+    sampled = dressed_distance(toy_subsystem, kind, lower_bound=0.5)
+    assert sampled.value is None and not sampled.exact
+    assert sampled.lower == 0.5 and sampled.upper >= exact
 
 
 # -- formula bounds --------------------------------------------------------------
