@@ -118,16 +118,14 @@ class LabeledGraph:
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = self.edge_array.T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         return a
 
     def adjacency_sparse(self) -> scipy.sparse.csr_matrix:
-        rows, cols = [], []
-        for u, v in self.edges:
-            rows += [u, v]
-            cols += [v, u]
+        u, v = self.edge_array.T
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         data = np.ones(len(rows))
         return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
@@ -305,7 +303,9 @@ def second_eigenvalue(x: LabeledGraph, tol: float = EIG_TOL) -> float:
     if x.n <= 2:
         raise DomainError("graph too small for a second eigenvalue")
     if x.n <= DENSE_EIG_CAP:
-        vals = scipy.linalg.eigvalsh(x.adjacency())
+        # the transpose of the symmetric adjacency is the same matrix in
+        # Fortran order, which LAPACK overwrites in place without a copy
+        vals = scipy.linalg.eigvalsh(x.adjacency().T, overwrite_a=True, check_finite=False)
         top, second = vals[-1], vals[-2]
     else:
         a = x.adjacency_sparse()

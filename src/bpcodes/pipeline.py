@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .algebra import is_prime, legendre, unipotent_subgroup
 from .classical import dual_distance, local_code_from_spec
 from .errors import BpcodesError, BundleCorrupt, DegreeMismatch, RecipeInvalid
-from .f2la import F2Matrix, rank, read_alist, write_alist
+from .f2la import F2Matrix, IncrementalSpan, rank, read_alist, write_alist
 from .graphs import (
     GraphAction,
     cayley_right_action,
@@ -283,9 +283,10 @@ def load_and_validate_bundle(out_dir: str) -> dict:
     """Reload a bundle and recheck its stored claims.
 
     Verifies commuting checks, declared dimensions, the recomputed
-    homology count, that the logical and gauge representatives are cycles,
-    and the bundle hash. A params.json that is not a JSON object holding
-    the checked keys raises BundleCorrupt.
+    homology count, that the logical and gauge representatives are cycles
+    independent of each other and of the rows of hz, and the bundle hash.
+    A params.json that is not a JSON object holding the checked keys
+    raises BundleCorrupt.
     """
     path = os.path.join(out_dir, "params.json")
     try:
@@ -302,7 +303,8 @@ def load_and_validate_bundle(out_dir: str) -> dict:
         raise BpcodesError("reloaded checks do not commute")
     if hx.cols != params["N"] or hz.cols != params["N"]:
         raise BpcodesError("reloaded dimensions disagree with params.json")
-    k = hx.cols - rank(hx) - rank(hz)
+    span = IncrementalSpan(hz.row_int(i) for i in range(hz.rows))
+    k = hx.cols - rank(hx) - span.dim
     if k != params["k_homology"]:
         raise BpcodesError("recomputed homology count disagrees with params.json")
     lm = _read_rows(os.path.join(out_dir, "logicals_z.txt"), hx.cols)
@@ -312,6 +314,8 @@ def load_and_validate_bundle(out_dir: str) -> dict:
     for name, reps in (("logical", lm), ("gauge", gm)):
         if not hx.matmul(reps.transpose()).is_zero():
             raise BpcodesError(f"{name} representatives are not cycles")
+        if not all(span.add(reps.row_int(i)) for i in range(reps.rows)):
+            raise BpcodesError(f"{name} representatives depend on hz and the earlier ones")
     if params["bundle_hash"] != _bundle_hash(hx, hz, lm, gm):
         raise BpcodesError("bundle hash mismatch")
     return params

@@ -194,6 +194,15 @@ def check_expansion_theorem8(
 
 
 _SCAN_BLOCK = 1 << 15  # chains per block of the exhaustive scan
+_SAMPLE_SLOTS = 1 << 15  # samples x weight cap per chunk of the sampled scan
+
+
+def _pack_columns(columns, n):
+    """The first n columns as rows of little-endian uint64 words, plus an
+    all-zero row n for padded supports to point at."""
+    n_words = max(1, -(-max((c.bit_length() for c in columns[:n]), default=0) // 64))
+    raw = b"".join(c.to_bytes(8 * n_words, "little") for c in columns[:n])
+    return np.frombuffer(raw + bytes(8 * n_words), dtype=np.uint64).reshape(n + 1, n_words)
 
 
 def _scan_exhaustive(columns, n, beta, max_w):
@@ -206,9 +215,7 @@ def _scan_exhaustive(columns, n, beta, max_w):
     violations = 0
     worst = math.inf
     enumerated = 0
-    n_words = max(1, -(-max((c.bit_length() for c in columns[:n]), default=0) // 64))
-    raw = b"".join(c.to_bytes(8 * n_words, "little") for c in columns[:n])
-    words = np.frombuffer(raw, dtype=np.uint64).reshape(n, n_words)
+    words = _pack_columns(columns, n)[:n]
     for w, images in _chain_blocks(words, 1, words, np.arange(n), max_w):
         enumerated += len(images)
         if beta > 0 and len(images):
@@ -239,22 +246,143 @@ def _chain_blocks(words, w, images, last, max_w):
         yield from _chain_blocks(words, w + 1, grown, nxt, max_w)
 
 
+class _WordStream:
+    """The 32-bit words that ``Generator.integers`` and ``Generator.choice``
+    read from ``default_rng(seed)``: each 64-bit PCG64 output gives its low
+    half, then its high half. ``words`` starts at the first unread word."""
+
+    def __init__(self, seed):
+        self._bitgen = np.random.default_rng(seed).bit_generator
+        self.words = np.zeros(0, dtype=np.uint64)
+
+    def extend(self, size: int) -> np.ndarray:
+        """Read ahead until at least ``size`` words are buffered."""
+        short = size - len(self.words)
+        if short > 0:
+            raw = self._bitgen.random_raw(-(-short // 2))
+            new = np.empty((len(raw), 2), dtype=np.uint64)
+            new[:, 0] = raw & 0xFFFFFFFF
+            new[:, 1] = raw >> 32
+            self.words = np.concatenate([self.words, new.ravel()])
+        return self.words
+
+
+def _lemire(words, bounds):
+    """Lemire's bounded draws from [0, bound): the values, and whether the
+    draw rejects the word (numpy then retries with the next one)."""
+    m = words * bounds
+    return m >> 32, (m & 0xFFFFFFFF) < (1 << 32) % bounds
+
+
+def _scalar_sample(stream, p, n, lo_w, span):
+    """One sample read word by word from position p, as numpy draws it,
+    rejections and the tail-shuffle regime included. Returns the weight,
+    the support and the position after the sample's last word."""
+
+    def draw(bound):
+        nonlocal p
+        if bound == 1:  # numpy reads no word for a single-value range
+            return 0
+        while True:
+            if p == len(stream.words):
+                stream.extend(p + 1024)
+            m = int(stream.words[p]) * bound
+            p += 1
+            if m & 0xFFFFFFFF >= (1 << 32) % bound:
+                return m >> 32
+
+    w = lo_w + draw(span)
+    if n > 10000 and w > n // 50:  # a tail Fisher-Yates shuffle of arange(n)
+        perm: dict[int, int] = {}
+        for i in range(n - 1, max(n - w, 1) - 1, -1):
+            j = draw(i + 1)
+            perm[i], perm[j] = perm.get(j, j), perm.get(i, i)
+        support = [perm.get(i, i) for i in range(n - w, n)]
+    else:  # Floyd's sampling, then a shuffle that only reorders the picks
+        chosen: set[int] = set()
+        for j in range(n - w, n):
+            val = draw(j + 1)
+            chosen.add(j if val in chosen else val)
+        for bound in range(w, 1, -1):
+            draw(bound)
+        support = sorted(chosen)
+    return w, support, p
+
+
+def _sample_supports(n, lo_w, hi_w, count, seed):
+    """Yield (weights, supports) chunks of ``count`` samples, equal to
+    ``w = rng.integers(lo_w, hi_w + 1)`` then
+    ``rng.choice(n, size=w, replace=False)`` per sample, with
+    ``rng = np.random.default_rng(seed)``. Each support row holds the w
+    picks in some order, padded with n up to hi_w entries.
+
+    A sample drawn without rejection reads at most 2w words: one for the weight
+    (none when lo_w == hi_w), w for Floyd's draws (none for the bound 1 when
+    w == n) and w - 1 for numpy's shuffle of the picks. A chunk tabulates
+    that step at every buffered word, walks it to the sample starts and
+    draws all samples at once. The samples before the first one with a
+    rejected draw or in numpy's tail-shuffle regime are exact; that one is
+    redone by ``_scalar_sample`` and the next chunk starts after it.
+    """
+    if not 1 <= lo_w <= hi_w <= n <= 1 << 32:
+        raise DomainError(f"sample weights {lo_w}..{hi_w} do not fit {n} positions")
+    stream = _WordStream(seed)
+    span = hi_w - lo_w + 1
+    head = int(span > 1)  # words the weight draw reads
+    t = np.arange(hi_w)
+    done = 0
+    while done < count:
+        c = max(1, min(count - done, _SAMPLE_SLOTS // hi_w))
+        words = stream.extend(2 * hi_w * c + 1)
+        w_at = np.full(len(words), lo_w, dtype=np.int64)
+        if head:
+            w_at += _lemire(words, span)[0].astype(np.int64)
+        steps = (head + 2 * w_at - 1 - (w_at == n)).tolist()
+        starts, p = [], 0
+        for _ in range(c):
+            starts.append(p)
+            p += steps[p]
+        starts = np.array(starts)
+        w = w_at[starts][:, None]
+        skip = w == n  # Floyd's first bound is 1 and reads no word
+        pick = t < w
+        bounds = np.where(pick, n - w + t + 1, 1).astype(np.uint64)
+        first = starts[:, None] + head - skip  # each sample's first Floyd word
+        vals, bad = _lemire(words[first + t], bounds)
+        u = t[:-1]  # the shuffle's draws, bounds w down to 2
+        shuffled = _lemire(words[first + w + u], np.where(u < w - 1, w - u, 1).astype(np.uint64))[1]
+        bad = bad.any(axis=1) | shuffled.any(axis=1)
+        if head:
+            bad |= _lemire(words[starts], span)[1]
+        if n > 10000:
+            bad |= w[:, 0] > n // 50
+        k = int(np.argmax(bad)) if bad.any() else c
+        support = np.where(pick[:k], vals[:k].astype(np.int64), n)
+        for i in range(1, hi_w):  # Floyd: a repeated pick takes j = n - w + i
+            dup = (support[:, :i] == support[:, i : i + 1]).any(axis=1) & pick[:k, i]
+            support[dup, i] = n - w[:k][dup, 0] + i
+        if k:
+            yield w[:k, 0], support
+        if k < c:
+            wk, sup, p = _scalar_sample(stream, int(starts[k]), n, lo_w, span)
+            yield np.array([wk]), np.array([sup + [n] * (hi_w - wk)], dtype=np.int64)
+        done += min(k + 1, c)
+        stream.words = stream.words[p:]
+
+
 def _scan_samples(columns, n, beta, lo_w, hi_w, count, seed):
+    """Violations and worst ratio over ``count`` seeded chains of weight
+    lo_w..hi_w, as one chain-by-chain pass over ``_sample_supports``."""
     violations = 0
     worst = math.inf
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        w = int(rng.integers(lo_w, hi_w + 1))
-        support = rng.choice(n, size=w, replace=False)
-        img = 0
-        for j in support:
-            img ^= columns[int(j)]
-        out = img.bit_count()
-        if beta > 0:
-            ratio = out / (beta * w)
-            worst = min(worst, ratio)
-            if out < beta * w - 1e-9:
-                violations += 1
+    if beta <= 0 or not count:
+        return violations, worst
+    words = _pack_columns(columns, n)
+    for w, support in _sample_supports(n, lo_w, hi_w, count, seed):
+        out = np.bitwise_count(np.bitwise_xor.reduce(words[support], axis=1)).sum(axis=1, dtype=np.int64)
+        scale = beta * w
+        violations += int(np.count_nonzero(out < scale - 1e-9))
+        worst = min(worst, float((out / scale).min()))
     return violations, worst
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bpcodes.algebra import FiniteGroup, build_pgl2, cyclic_group, unipotent_subgroup
 from bpcodes.errors import (
@@ -136,6 +137,27 @@ def test_second_eigenvalue_cycle_closed_form(ell):
     lam2 = second_eigenvalue(cycle_labeled_graph(ell))
     assert abs(lam2 - 2 * math.cos(2 * math.pi / ell)) < 1e-9
 
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lps_graph(5, 7)[0],
+        lambda: klein_quartic_graph()[0],
+        lambda: cycle_labeled_graph(5),
+        lambda: cycle_labeled_graph(12),
+        lambda: complete_graph(4),
+        lambda: complete_graph(9),
+    ],
+)
+def test_second_eigenvalue_equals_the_plain_dense_solve(make):
+    # the in-place solve on the transposed adjacency gives LAPACK the same input
+    g = make()
+    a = g.adjacency()
+    assert second_eigenvalue(g) == float(scipy.linalg.eigvalsh(a)[-2])
+    u, v = np.nonzero(np.triu(a))
+    assert sorted(zip(u.tolist(), v.tolist())) == sorted(g.edges)
+    assert (g.adjacency_sparse().toarray() == a).all()
 
 def test_disconnected_detected():
     # two disjoint triangles

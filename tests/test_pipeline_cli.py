@@ -276,6 +276,40 @@ def test_gauge_row_off_the_cycles_rejected(toy_bundle):
 
 
 @pytest.mark.parametrize(
+    "swap",
+    [
+        {"logical": ("hz", 0)},
+        {"gauge": ("hz", 1)},
+        {"logical": ("hz", 0), "gauge": ("hz", 1)},
+        {"gauge": ("logical", 0)},
+    ],
+)
+def test_representatives_dependent_on_hz_rejected(toy_bundle, swap):
+    """A logical or gauge row that is a stabilizer, or repeats an earlier
+    representative, is a cycle but names no new class; it fails even under
+    a matching hash."""
+    from bpcodes.f2la import read_alist
+    from bpcodes.pipeline import _bundle_hash, _read_rows, _write_rows
+
+    src, params = toy_bundle
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, tmp, dirs_exist_ok=True)
+        hx = read_alist(os.path.join(tmp, "hx.alist"))
+        hz = read_alist(os.path.join(tmp, "hz.alist"))
+        paths = {"logical": "logicals_z.txt", "gauge": "gauge_z.txt"}
+        reps = {name: _read_rows(os.path.join(tmp, path), hx.cols) for name, path in paths.items()}
+        sources = {"hz": hz, **reps}
+        for name, (other, i) in swap.items():
+            rows = reps[name].row_ints()
+            rows[0] = sources[other].row_int(i)
+            reps[name] = F2Matrix.from_rows(rows, hx.cols)
+            _write_rows(os.path.join(tmp, paths[name]), reps[name])
+        with open(os.path.join(tmp, "params.json"), "w") as f:
+            json.dump({**params, "bundle_hash": _bundle_hash(hx, hz, reps["logical"], reps["gauge"])}, f)
+        with pytest.raises(BpcodesError, match=next(iter(swap)) + " representatives depend"):
+            load_and_validate_bundle(tmp)
+
+@pytest.mark.parametrize(
     "name, text, error",
     [
         ("hx.alist", "18 9\n", AlistTruncated),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -195,3 +196,240 @@ def test_scan_exhaustive_matches_loop(n, bits, max_w, beta, block, data):
         mp.setattr(tanner, "_SCAN_BLOCK", block)
         got = tanner._scan_exhaustive(columns, n, beta, max_w)
     assert got == _loop_scan_exhaustive(columns, n, beta, max_w)
+
+
+@pytest.mark.parametrize("seed", [21, 1021])
+def test_seeded_expansion_reports_are_pinned(seed):
+    # theorem 7's minimum comes from the exhaustive part, theorem 8's from
+    # the sampled part, so the theorem 8 value pins the sample stream
+    kt = _klein_search()
+    lam2 = second_eigenvalue(kt.graph)
+    r7 = check_expansion_theorem7(kt, alpha=0.1, exhaustive_cap=4, samples=100_000, seed=seed, lam2=lam2)
+    r8 = check_expansion_theorem8(kt, alpha=0.08, exhaustive_cap=3, samples=100_000, seed=seed, lam2=lam2)
+    assert (r7.n_enumerated, r7.n_sampled, r7.violations, r7.worst_ratio) == (
+        2028355, 100000, 0, 37.487418650561885)
+    assert (r8.n_enumerated, r8.n_sampled, r8.violations, r8.worst_ratio) == (
+        62268, 100000, 0, 46.56743006891531)
+
+
+def _loop_draws(n, lo_w, hi_w, count, seed):
+    """The per-sample draws that the chunked sampler replaced."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        w = int(rng.integers(lo_w, hi_w + 1))
+        yield w, rng.choice(n, size=w, replace=False)
+
+
+def _loop_scan_samples(columns, n, beta, lo_w, hi_w, count, seed):
+    """The per-sample scan that the chunked sampler replaced."""
+    violations = 0
+    worst = math.inf
+    for w, support in _loop_draws(n, lo_w, hi_w, count, seed):
+        img = 0
+        for j in support:
+            img ^= columns[int(j)]
+        out = img.bit_count()
+        if beta > 0:
+            ratio = out / (beta * w)
+            worst = min(worst, ratio)
+            if out < beta * w - 1e-9:
+                violations += 1
+    return violations, worst
+
+
+def _chunked_draws(n, lo_w, hi_w, count, seed):
+    for w, support in tanner._sample_supports(n, lo_w, hi_w, count, seed):
+        assert support.shape == (len(w), hi_w)
+        for wi, row in zip(w.tolist(), support.tolist()):
+            assert row.count(n) == hi_w - wi
+            yield wi, sorted(j for j in row if j != n)
+
+
+def _assert_same_draws(n, lo_w, hi_w, count, seed):
+    want = [(w, sorted(s.tolist())) for w, s in _loop_draws(n, lo_w, hi_w, count, seed)]
+    assert list(_chunked_draws(n, lo_w, hi_w, count, seed)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 5, 72, 84]),
+    st.sampled_from([1, 2, 3, 7, 1 << 15]),
+    st.integers(0, 40),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_sampler_matches_per_sample_draws(n, slots, count, seed, data):
+    lo_w = data.draw(st.integers(1, n))
+    hi_w = data.draw(st.sampled_from([lo_w, n, min(n, lo_w + 3)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "_SAMPLE_SLOTS", slots)
+        _assert_same_draws(n, lo_w, hi_w, count, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([1, 2, 3, 7, 1 << 15]), st.integers(0, 2**32))
+def test_sampler_matches_through_lemire_rejections(slots, seed):
+    # bounds near 3 * 2^30 reject about a quarter of the words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "_SAMPLE_SLOTS", slots)
+        _assert_same_draws(3 << 30, 1, 6, 30, seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([1, 7, 1 << 15]), st.integers(0, 2**32), st.sampled_from([(150, 260), (201, 205), (10001, 10001)]))
+def test_sampler_matches_in_the_tail_shuffle_regime(slots, seed, weights):
+    # above n = 10000 numpy shuffles the tail of arange(n) once w > n // 50
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "_SAMPLE_SLOTS", slots)
+        _assert_same_draws(10001, *weights, 4, seed)
+
+
+def test_sampler_rejects_weights_that_do_not_fit():
+    from bpcodes.errors import DomainError
+
+    for args in ((5, 0, 3), (5, 4, 3), (5, 3, 6), ((1 << 32) + 1, 1, 2)):
+        with pytest.raises(DomainError):
+            next(tanner._sample_supports(*args, 1, 0))
+
+
+def test_packed_columns_end_in_a_zero_row():
+    words = tanner._pack_columns([1, 1 << 70, 3, 5], 3)
+    assert words.shape == (4, 2) and not words[3].any()
+    assert words[1].tolist() == [0, 1 << 6]
+
+
+@functools.cache
+def _klein_search():
+    return klein_tanner_code(search=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["t7", "t8", "bits"]),
+    st.sampled_from([-1.0, 0.0, 0.02, 0.2 + 1e-12, 0.3, 1.7]),
+    st.integers(0, 300),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 3, 7, 1 << 15]),
+    st.data(),
+)
+def test_scan_samples_matches_loop(which, beta, count, seed, slots, data):
+    # "bits" chains have images of weight 0..2, so beta * w lands just
+    # above an image weight (0.2 + 1e-12 at w = 5) and the 1e-9 slack counts
+    if which == "bits":
+        n = data.draw(st.integers(1, 30))
+        columns = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    else:
+        d = _klein_search().differential()
+        columns = d._transposed_data() if which == "t7" else d.row_ints()
+        n = len(columns)
+        if data.draw(st.booleans()):  # zero chains, so that light images occur
+            columns = [0 if i % 3 else c for i, c in enumerate(columns)]
+    lo_w = data.draw(st.integers(1, min(n, 8)))
+    hi_w = data.draw(st.integers(lo_w, min(n, 12)))  # lo_w < hi_w pads supports with the zero row
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "_SAMPLE_SLOTS", slots)
+        got = tanner._scan_samples(columns, n, beta, lo_w, hi_w, count, seed)
+    assert got == _loop_scan_samples(columns, n, beta, lo_w, hi_w, count, seed)
+
+
+def _pcg64_words(seed, zero_every=0):
+    """The 32-bit words of PCG64(seed), low half first; with zero_every,
+    each word is replaced by 0 with probability 1/zero_every. A zero word
+    is rejected by every bound that is not a power of two."""
+    bits = np.random.default_rng(seed).bit_generator
+    holes = np.random.default_rng([seed, 1])
+    while True:
+        raw = bits.random_raw(256)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        if zero_every:
+            words[holes.integers(0, zero_every, len(words)) == 0] = 0
+        yield from words.tolist()
+
+
+def _word_reference(words, n, lo_w, hi_w, count):
+    """numpy's integers + choice(replace=False) algorithms, on a word iterator."""
+
+    def draw(bound):
+        if bound == 1:
+            return 0
+        while True:
+            m = next(words) * bound
+            if m % 2**32 >= 2**32 % bound:
+                return m >> 32
+
+    for _ in range(count):
+        w = lo_w + draw(hi_w - lo_w + 1)
+        if n > 10000 and w > n // 50:
+            idx = list(range(n))
+            for i in range(n - 1, max(n - w, 1) - 1, -1):
+                j = draw(i + 1)
+                idx[i], idx[j] = idx[j], idx[i]
+            yield w, sorted(idx[n - w:])
+        else:
+            picks = []
+            for j in range(n - w, n):
+                val = draw(j + 1)
+                picks.append(j if val in picks else val)
+            for i in range(w - 1, 0, -1):
+                draw(i + 1)
+            yield w, sorted(picks)
+
+
+class _HoledBits:
+    """A stand-in bit generator whose raw outputs carry zero words."""
+
+    def __init__(self, seed, zero_every):
+        self._words = _pcg64_words(seed, zero_every)
+
+    def random_raw(self, k):
+        lo = np.array([next(self._words) for _ in range(2 * k)], dtype=np.uint64)
+        return lo[0::2] | (lo[1::2] << np.uint64(32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([5, 72, 84, 10001]),
+    st.sampled_from([1, 2, 3, 7, 1 << 15]),
+    st.sampled_from([3, 20, 200]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_sampler_redoes_rejected_draws_exactly(n, slots, zero_every, seed, data):
+    # the word-level reference is numpy's stream on plain PCG64 words ...
+    lo_w = data.draw(st.integers(1, min(n, 9)))
+    hi_w = data.draw(st.sampled_from([lo_w, min(n, lo_w + 4), min(n, 300)]))
+    count = 4 if hi_w > 200 else 40
+    want = [(w, sorted(s.tolist())) for w, s in _loop_draws(n, lo_w, hi_w, count, seed)]
+    assert list(_word_reference(_pcg64_words(seed), n, lo_w, hi_w, count)) == want
+
+    # ... and on words with frequent rejections the sampler follows it
+    class Holed(tanner._WordStream):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self._bitgen = _HoledBits(seed, zero_every)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tanner, "_SAMPLE_SLOTS", slots)
+        mp.setattr(tanner, "_WordStream", Holed)
+        got = list(_chunked_draws(n, lo_w, hi_w, count, seed))
+    assert got == list(_word_reference(_pcg64_words(seed, zero_every), n, lo_w, hi_w, count))
+
+
+def test_scan_samples_keeps_the_float_slack():
+    # beta * 5 lands 5e-12 above the image weight 1, inside the 1e-9 slack
+    columns, beta = [1] * 5, 0.2 + 1e-12
+    got = tanner._scan_samples(columns, 5, beta, 5, 5, 50, 3)
+    assert got == _loop_scan_samples(columns, 5, beta, 5, 5, 50, 3)
+    assert got[0] == 0 and got[1] < 1
+
+
+@pytest.mark.parametrize("bound", [3, 7, 85, (3 << 30) + 1])
+def test_lemire_rejects_exactly_below_the_threshold(bound):
+    # a word whose low product half equals 2^32 mod bound is accepted,
+    # one below it is rejected
+    thr = 2**32 % bound
+    inv = pow(bound, -1, 2**32)
+    words = np.array([thr * inv % 2**32, (thr - 1) * inv % 2**32], dtype=np.uint64)
+    vals, rejected = tanner._lemire(words, np.uint64(bound))
+    assert rejected.tolist() == [False, True]
+    assert vals.tolist() == [int(u) * bound >> 32 for u in words]
