@@ -302,37 +302,35 @@ class KunnethReport:
         return self.total_dim == self.sum_of_products
 
 
-def verify_kunneth(c: ChainComplex, d: ChainComplex, n: int) -> KunnethReport:
-    """Check dim H_n(C (x) D) against the sum of products of factor homologies.
+def verify_kunneth(c: ChainComplex, d: ChainComplex) -> dict[int, KunnethReport]:
+    """Check dim H_n(C (x) D) against the sum of products of factor
+    homologies, for every degree n of the tensor complex.
 
     Both sides are computed independently; disagreement raises, since the
-    identity is unconditional.
+    identity is unconditional. Degrees outside the tensor complex's range
+    hold trivially: both sides are 0 there.
     """
     tot = tensor_complex(c, d)
-    if n not in tot.dims:
-        lhs = 0
-    else:
+    hc = {p: c.homology_dim(p) for p in c.degrees()}
+    hd = {q: d.homology_dim(q) for q in d.degrees()}
+    reports = {}
+    for n in tot.degrees():
         lhs = tot.homology_dim(n)
-    terms = []
-    rhs = 0
-    for p in c.degrees():
-        q = n - p
-        if q in d.dims:
-            t = c.homology_dim(p) * d.homology_dim(q)
-            terms.append((p, q, t))
-            rhs += t
-    report = KunnethReport(n, lhs, rhs, tuple(terms))
-    if not report.holds:
-        raise KunnethViolation(f"degree {n}: total {lhs} != sum {rhs}")
-    return report
+        terms = tuple((p, n - p, hc[p] * hd[n - p]) for p in hc if n - p in hd)
+        rhs = sum(t for _, _, t in terms)
+        if lhs != rhs:
+            raise KunnethViolation(f"degree {n}: total {lhs} != sum {rhs}")
+        reports[n] = KunnethReport(n, lhs, rhs, terms)
+    return reports
 
 
-def homology_2x2_via_pages(e: DoubleComplex, n: int) -> int:
-    """Homology dimension of Tot(E) for a 2x2 grid, computed by taking
-    vertical homology first and then the induced horizontal homology.
+def homology_2x2_via_pages(e: DoubleComplex) -> dict[int, int]:
+    """Homology dimensions of Tot(E) in degrees 0..2 for a 2x2 grid,
+    computed by taking vertical homology first and then the induced
+    horizontal homology.
 
-    The result is checked against the direct total-complex computation
-    and returned.
+    Each degree is checked against the direct total-complex computation
+    and the dimensions are returned by degree.
     """
     if any(p not in (0, 1) or q not in (0, 1) for (p, q) in e.grid):
         raise NotTwoByTwo("grid is not supported on {0,1} x {0,1}")
@@ -353,13 +351,17 @@ def homology_2x2_via_pages(e: DoubleComplex, n: int) -> int:
         page[(1, q)] = induced.cols - rank(induced)
         page[(0, q)] = induced.rows - rank(induced)
 
-    result = sum(page[(p, q)] for p in (0, 1) for q in (0, 1) if p + q == n)
-    direct = total_complex(e).homology_dim(n) if n in total_complex(e).dims else 0
-    if result != direct:
-        raise KunnethViolation(
-            f"page computation {result} != total homology {direct} at degree {n}"
-        )
-    return result
+    tot = total_complex(e)
+    dims = {}
+    for n in (0, 1, 2):
+        result = sum(page[(p, n - p)] for p in (0, 1) if n - p in (0, 1))
+        direct = tot.homology_dim(n) if n in tot.dims else 0
+        if result != direct:
+            raise KunnethViolation(
+                f"page computation {result} != total homology {direct} at degree {n}"
+            )
+        dims[n] = result
+    return dims
 
 
 def _induced_map(e: DoubleComplex, q: int, vert) -> F2Matrix:

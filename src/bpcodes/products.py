@@ -886,19 +886,11 @@ def horizontal_homology_dim(inst: CircleProductInstance) -> int:
     """
     bp = inst.product
     tanner_kernel = kernel_basis(inst.tanner.differential()).basis
-    cell = bp.cells[(1, 0)]
-    coord = [int(cell.orbit_of[e, 0]) for e in range(inst.tanner.graph.n_edges)]
-    span = IncrementalSpan()
-    d2t = bp.total.differential(2).transpose()
-    for r in range(d2t.rows):
-        span.add(d2t.row_int(r))
-    dim = 0
-    for r in range(tanner_kernel.rows):
-        w = tanner_kernel.row_int(r)
-        chain = 0
-        for e in range(inst.tanner.graph.n_edges):
-            if (w >> e) & 1:
-                chain |= 1 << coord[e]
-        if span.add(chain):
-            dim += 1
-    return dim
+    # edge e sits at the orbit of (e, 0); unique() ORs any coinciding
+    # entries, so the chains do not rely on that map being injective
+    r, e = tanner_kernel.nonzeros()
+    n1 = bp.total.dim(1)
+    keys = np.unique(r * n1 + bp.cells[(1, 0)].orbit_of[e, 0])
+    chains = F2Matrix.from_entries(tanner_kernel.rows, n1, (keys // n1, keys % n1))
+    span = IncrementalSpan(bp.total.differential(2).transpose().row_ints())
+    return sum(span.add(chain) for chain in chains.row_ints())

@@ -17,6 +17,7 @@ from bpcodes.complexes import (
 )
 from bpcodes.errors import DegreeOutOfRange, NotChainComplex, NotDoubleComplex, TooSmall
 from bpcodes.f2la import F2Matrix
+from bpcodes.verify import _random_invertible
 
 
 def rand_one_complex(rng, lo=1, hi=6):
@@ -122,7 +123,7 @@ def test_double_complex_rejects_noncommuting():
 
 
 def test_kunneth_cycle_squares():
-    rep = verify_kunneth(cycle_graph_complex(3), cycle_graph_complex(3), 1)
+    rep = verify_kunneth(cycle_graph_complex(3), cycle_graph_complex(3))[1]
     assert rep.total_dim == rep.sum_of_products == 2
 
 
@@ -131,30 +132,62 @@ def test_kunneth_cycle_squares():
 def test_kunneth_random_pairs(seed):
     rng = np.random.default_rng(seed)
     c, d = rand_one_complex(rng), rand_one_complex(rng)
+    reports = verify_kunneth(c, d)
+    assert sorted(reports) == [0, 1, 2]
     for n in (0, 1, 2):
-        assert verify_kunneth(c, d, n).holds
+        assert reports[n].holds
 
 
 def test_kunneth_acyclic_factor():
     # identity differential: homology vanishes everywhere
     acyclic = one_complex(F2Matrix.identity(3))
     c = cycle_graph_complex(4)
+    reports = verify_kunneth(c, acyclic)
     for n in (0, 1, 2):
-        rep = verify_kunneth(c, acyclic, n)
-        assert rep.total_dim == 0
+        assert reports[n].total_dim == 0
 
 
 def test_pages_toric():
     e = tensor_double_complex(cycle_graph_complex(3), cycle_graph_complex(3))
-    assert homology_2x2_via_pages(e, 1) == 2
-    assert homology_2x2_via_pages(e, 0) == 1
-    assert homology_2x2_via_pages(e, 2) == 1
+    dims = homology_2x2_via_pages(e)
+    assert dims[1] == 2
+    assert dims[0] == 1
+    assert dims[2] == 1
 
 
 def test_pages_zero_grid_sums_antidiagonal():
     e = DoubleComplex({(0, 0): 2, (1, 0): 3, (0, 1): 5, (1, 1): 4}, {}, {})
-    assert homology_2x2_via_pages(e, 1) == 8
-    assert homology_2x2_via_pages(e, 2) == 4
+    dims = homology_2x2_via_pages(e)
+    assert dims[1] == 8
+    assert dims[2] == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pages_match_total_homology_on_sheared_grids(seed):
+    # factors with 0..5 rows and columns, so some grid cells are zero
+    rng = np.random.default_rng(seed)
+    c, d = rand_one_complex(rng, lo=0), rand_one_complex(rng, lo=0)
+    e = _sheared(rng, tensor_double_complex(c, d))
+    tot = total_complex(e)
+    dims = homology_2x2_via_pages(e)
+    assert sorted(dims) == [0, 1, 2]
+    for n in (0, 1, 2):
+        assert dims[n] == (tot.homology_dim(n) if n in tot.dims else 0)
+
+
+def _sheared(rng, e):
+    """e with every cell's basis changed by a random invertible matrix."""
+    basis = {pq: _random_invertible(rng, e.dim(*pq)) for pq in e.grid}
+    vd = {
+        (p, q): basis[(p, q - 1)][0].matmul(m).matmul(basis[(p, q)][1])
+        for (p, q), m in e.vdiffs.items()
+    }
+    hd = {
+        (p, q): basis[(p - 1, q)][0].matmul(m).matmul(basis[(p, q)][1])
+        for (p, q), m in e.hdiffs.items()
+    }
+    return DoubleComplex(e.grid, vd, hd, check=True)
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,7 +21,7 @@ from bpcodes.errors import (
     NotAutomorphism,
     NotFreeOnBasis,
 )
-from bpcodes.f2la import F2Matrix, rank
+from bpcodes.f2la import F2Matrix, IncrementalSpan, kernel_basis, rank
 from bpcodes.graphs import cycle_labeled_graph, cycle_rotation_action
 from bpcodes.products import (
     ComplexWithAction,
@@ -403,3 +403,24 @@ def test_complex_with_action_rejects_a_fixed_basis_point():
     ComplexWithAction(cx, cyclic_group(3), perms, free=False)
     with pytest.raises(NotFreeOnBasis, match="degree 0"):
         ComplexWithAction(cx, cyclic_group(3), perms)
+
+
+def _loop_horizontal_homology_dim(inst):
+    """The per-edge bit loop that one nonzeros() of the kernel replaced."""
+    tanner_kernel = kernel_basis(inst.tanner.differential()).basis
+    cell = inst.product.cells[(1, 0)]
+    coord = [int(cell.orbit_of[e, 0]) for e in range(inst.tanner.graph.n_edges)]
+    d2t = inst.product.total.differential(2).transpose()
+    span = IncrementalSpan(d2t.row_ints())
+    dim = 0
+    for w in tanner_kernel.row_ints():
+        chain = 0
+        for e in range(inst.tanner.graph.n_edges):
+            if (w >> e) & 1:
+                chain |= 1 << coord[e]
+        dim += span.add(chain)
+    return dim
+
+
+def test_horizontal_homology_dim_matches_edge_loop(toy):
+    assert horizontal_homology_dim(toy) == _loop_horizontal_homology_dim(toy) == 1
