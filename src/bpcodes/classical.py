@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     SearchExhausted,
     TooLarge,
 )
-from .f2la import F2Matrix, kernel_basis, rank, rref
+from .f2la import F2Matrix, _n_words, _reduced_rows, kernel_basis, rank, rref
 
 ENUMERATION_CAP = 28  # rows an exact distance may span: 2^28 combinations
 
@@ -95,7 +96,7 @@ def dual_distance(code: LinearCode) -> int:
     return dual.d if dual.d is not None else exact_distance(dual)
 
 
-_PAIR_BLOCK = 1 << 22  # word pairs scanned at once by _min_detected_weight
+_SUBSET_BLOCK = 1 << 16  # subsets XORed at once by _min_detected_weight
 
 
 def _min_detected_weight(rows: list[int], images: list[int], n: int) -> int:
@@ -103,61 +104,123 @@ def _min_detected_weight(rows: list[int], images: list[int], n: int) -> int:
     ``n``) whose XOR of the matching ``images`` (bitsets of any width) is
     nonzero.
 
-    Meet in the middle: the rows split into two halves, detected rows
-    (nonzero image) first, and each half's span is built by doubling as
-    packed words plus packed images. A pair of words, one from each half,
-    is a detected combination exactly when their images differ. Raises
-    TooLarge above ENUMERATION_CAP rows and NoLogicals when no
+    Brouwer-Zimmermann enumeration over information sets. The words
+    ``row | image << n`` are row-reduced once; a reduced row with a zero
+    word part and a nonzero image is a detected combination of weight 0.
+    Otherwise the word parts of the k reduced rows are independent, and
+    greedy disjoint information sets I_j (each taking pivots only among
+    columns no earlier set used) give systematic generators G_j of rank
+    r_j. Level t XORs every t-subset of each generator's rows; once
+    levels 1..t of G_j are scanned, a combination not yet seen has at
+    least t + 1 - (k - r_j) ones on I_j, so the scan stops once the best
+    detected weight is at most the sum of those bounds. A generator joins
+    the scan, all its levels up to t at once, at the first t where its
+    term is positive.
+    Raises TooLarge above ENUMERATION_CAP rows and NoLogicals when no
     combination is detected.
     """
     if len(rows) > ENUMERATION_CAP:
         raise TooLarge(f"2^{len(rows)} combinations exceed the enumeration cap")
-    order = sorted(range(len(rows)), key=lambda i: images[i] == 0)
-    words = F2Matrix.from_rows([rows[i] for i in order], n).data
-    image_bits = max((v.bit_length() for v in images), default=0)
-    image_words = F2Matrix.from_rows([images[i] for i in order], image_bits).data
-    half = len(rows) // 2
-    left, right = _span(words[:half]), _span(words[half:])
-    # equal ids <=> equal images, whatever the image width
-    _, ids = np.unique(
-        np.vstack([_span(image_words[:half]), _span(image_words[half:])]),
-        axis=0,
-        return_inverse=True,
-    )
-    left_ids, right_ids = ids.reshape(-1)[: len(left)], ids.reshape(-1)[len(left) :]
-    # right words sharing each left word's image: those pairs are masked.
-    # Left words masked against every right word are dropped; with the
-    # detected rows first that is often the whole undetected part of the
-    # left span, and the rest then needs no mask at all.
-    clashes = np.bincount(right_ids, minlength=len(ids))[left_ids]
-    keep = clashes < len(right)
-    left, left_ids, clashes = left[keep], left_ids[keep], clashes[keep]
-    acc = np.min_scalar_type(n + 1)  # holds every weight and the mask value n + 1
-    best = n + 1
-    step = max(1, _PAIR_BLOCK // len(right))
-    xor = np.empty((min(step, len(left)), len(right)), dtype=np.uint64)
-    weight = np.empty(xor.shape, dtype=acc)
-    for lo in range(0, len(left), step):
-        block = left[lo : lo + step]
-        x, w = xor[: len(block)], weight[: len(block)]
-        w.fill(0)
-        for j in range(words.shape[1]):
-            np.bitwise_xor(block[:, None, j], right[None, :, j], out=x)
-            w += np.bitwise_count(x)
-        if clashes[lo : lo + step].any():
-            w[left_ids[lo : lo + step, None] == right_ids[None, :]] = n + 1
-        best = min(best, int(w.min()))
-    if best > n:
+    if not any(images):
         raise NoLogicals("no combination of the rows is detected")
+    basis, pivots = _reduced_rows(r | (v << n) for r, v in zip(rows, images))
+    if pivots[-1] >= n:  # the last pivot row has a zero word part
+        return 0
+    k = len(basis)
+    word_words = _n_words(n)
+    image_bits = max(basis).bit_length() - n
+    mask = (1 << n) - 1
+    gens = []  # (packed rows [word words | image words], rank r_j)
+    free = mask
+    while free:
+        gen, used = _systematic(basis, free)
+        if not used:
+            break
+        free &= ~used
+        words = F2Matrix.from_rows([v & mask for v in gen], n).data
+        detect = F2Matrix.from_rows([v >> n for v in gen], image_bits).data
+        gens.append((np.hstack([words, detect]), used.bit_count()))
+    best = n + 1
+    done = [0] * len(gens)  # highest level scanned on each generator
+    for t in range(1, k + 1):
+        for j, (packed, r) in enumerate(gens):
+            if t + 1 - (k - r) <= 0:
+                continue  # no bound from this set yet; its levels wait until it adds one
+            for level in range(done[j] + 1, t + 1):
+                for x in _subset_xors(packed, level):
+                    detected = x[:, word_words:].any(axis=1)
+                    if detected.any():
+                        w = np.bitwise_count(x[detected, :word_words]).sum(axis=1)
+                        best = min(best, int(w.min()))
+            done[j] = t
+            bound = sum(max(0, d + 1 - (k - rank_j)) for d, (_, rank_j) in zip(done, gens))
+            if best <= bound:
+                return best
     return best
 
 
-def _span(rows: np.ndarray) -> np.ndarray:
-    """All 2^len(rows) XORs of subsets of the packed rows, by doubling:
-    entry i combines the rows at the set bits of i."""
-    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        out[1 << i : 2 << i] = out[: 1 << i] ^ row
+def _systematic(rows: list[int], free: int) -> tuple[list[int], int]:
+    """Rows spanning the same space, reduced on pivots drawn only from the
+    ``free`` columns (each pivot row the only one with its pivot bit, the
+    other rows zero on every free column), and the mask of the pivots."""
+    pivots: dict[int, int] = {}  # pivot bit -> its row
+    used = 0
+    rest = []
+    for v in rows:
+        hits = v & used
+        while hits:
+            low = hits & -hits
+            v ^= pivots[low]
+            hits ^= low
+        low = v & free & -(v & free)
+        if not low:
+            rest.append(v)
+            continue
+        for p, u in pivots.items():
+            if u & low:
+                pivots[p] = u ^ v
+        pivots[low] = v
+        used |= low
+    return list(pivots.values()) + rest, used
+
+
+def _subset_xors(rows: np.ndarray, t: int):
+    """The XORs of every t-subset of ``rows``, at most _SUBSET_BLOCK at a
+    time: a count above the block fixes the smallest chosen row and
+    recurses on the rows after it."""
+    m = len(rows)
+    if math.comb(m, t) <= _SUBSET_BLOCK:
+        idx = _subset_table(m, t)
+        x = rows[idx[:, 0]]
+        for c in range(1, t):
+            x ^= rows[idx[:, c]]
+        yield x
+        return
+    for a in range(m - t + 1):
+        for x in _subset_xors(rows[a + 1 :], t - 1):
+            x ^= rows[a]
+            yield x
+
+
+@lru_cache(maxsize=None)
+def _subset_table(m: int, t: int) -> np.ndarray:
+    """Every t-subset of range(m), one row of indices each, in
+    lexicographic order; read-only, shared between calls."""
+    if t == 0:
+        out = np.zeros((1, 0), dtype=np.uint8)
+    else:
+        out = np.vstack(
+            [
+                np.hstack(
+                    [
+                        np.full((math.comb(m - a - 1, t - 1), 1), a, dtype=np.uint8),
+                        _subset_table(m - a - 1, t - 1) + np.uint8(a + 1),
+                    ]
+                )
+                for a in range(m - t + 1)
+            ]
+        )
+    out.flags.writeable = False
     return out
 
 

@@ -182,10 +182,12 @@ class DoubleComplex:
         return self.grid.get((p, q), 0)
 
     def vdiff(self, p: int, q: int) -> F2Matrix:
-        return self.vdiffs.get((p, q), F2Matrix.zeros(self.dim(p, q - 1), self.dim(p, q)))
+        m = self.vdiffs.get((p, q))
+        return F2Matrix.zeros(self.dim(p, q - 1), self.dim(p, q)) if m is None else m
 
     def hdiff(self, p: int, q: int) -> F2Matrix:
-        return self.hdiffs.get((p, q), F2Matrix.zeros(self.dim(p - 1, q), self.dim(p, q)))
+        m = self.hdiffs.get((p, q))
+        return F2Matrix.zeros(self.dim(p - 1, q), self.dim(p, q)) if m is None else m
 
     def _check_laws(self) -> None:
         for (p, q) in self.grid:

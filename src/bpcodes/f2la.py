@@ -42,6 +42,7 @@ from .errors import (
 _WORD = 64
 _ONE = np.uint64(1)
 _GATHER_WORDS = 1 << 18  # words of the temporary in one matmul gather (2 MB)
+_STREAM_BYTES = 1 << 20  # bytes of packed rows read at once by iter_row_ints
 
 
 def _n_words(cols: int) -> int:
@@ -51,6 +52,14 @@ def _n_words(cols: int) -> int:
 def _bit_masks(cols: np.ndarray) -> np.ndarray:
     """The single-bit word holding each column index."""
     return np.left_shift(_ONE, (cols & (_WORD - 1)).astype(np.uint64))
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal neighbours in the 1-d array ``a`` begins."""
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 class F2Matrix:
@@ -96,10 +105,9 @@ class F2Matrix:
         if cols == 0 or rows == 0:
             return F2Matrix.zeros(rows, cols)
         packed = np.packbits(a, axis=1, bitorder="little")
-        width = _n_words(cols) * 8
-        if packed.shape[1] < width:
-            packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
-        return F2Matrix(rows, cols, np.ascontiguousarray(packed).view(np.uint64))
+        data = np.zeros((rows, _n_words(cols) * 8), dtype=np.uint8)
+        data[:, : packed.shape[1]] = packed
+        return F2Matrix(rows, cols, data.view(np.uint64))
 
     @staticmethod
     def from_rows(int_rows: list[int], cols: int) -> "F2Matrix":
@@ -147,7 +155,17 @@ class F2Matrix:
         return int.from_bytes(self.data[i].tobytes(), "little")
 
     def row_ints(self) -> list[int]:
-        return [self.row_int(i) for i in range(self.rows)]
+        return list(self.iter_row_ints())
+
+    def iter_row_ints(self):
+        """The rows as Python-int bitsets, in order, converted from one
+        ``tobytes()`` block of about _STREAM_BYTES at a time."""
+        width = self.data.shape[1] * 8
+        per = max(1, _STREAM_BYTES // width)
+        for lo in range(0, self.rows, per):
+            buf = self.data[lo : lo + per].tobytes()
+            for off in range(0, len(buf), width):
+                yield int.from_bytes(buf[off : off + width], "little")
 
     def to_dense(self) -> np.ndarray:
         if self.cols == 0:
@@ -213,11 +231,11 @@ class F2Matrix:
         out = np.zeros((self.rows, _n_words(other.cols)), dtype=np.uint64)
         r, c = self.nonzeros()
         if len(r):
-            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            starts = _run_starts(r)
             # gather other's rows for whole rows of self, about _GATHER_WORDS
             # words at a time, so the temporary stays small on big products
             per = max(1, _GATHER_WORDS // other.data.shape[1])
-            cuts = np.flatnonzero(np.diff(starts // per, prepend=-1)).tolist() + [len(starts)]
+            cuts = _run_starts(starts // per).tolist() + [len(starts)]
             bounds = starts.tolist() + [len(r)]
             for a, b in zip(cuts[:-1], cuts[1:]):
                 lo, hi = bounds[a], bounds[b]
@@ -299,7 +317,7 @@ def rank(m: F2Matrix) -> int:
     """Rank over GF(2), computed once per (immutable) matrix."""
     r = getattr(m, "_rank", None)
     if r is None:
-        r = IncrementalSpan(m.row_int(i) for i in range(m.rows)).dim
+        r = IncrementalSpan(m.iter_row_ints()).dim
         m._rank = r
     return r
 
@@ -317,7 +335,7 @@ def _end_bits_distinct(m: F2Matrix) -> bool:
 
 def rref(m: F2Matrix) -> tuple[F2Matrix, list[int]]:
     """Reduced row echelon form and the pivot columns (zero rows dropped)."""
-    rows, pivots = _reduced_rows(m.row_int(i) for i in range(m.rows))
+    rows, pivots = _reduced_rows(m.iter_row_ints())
     return F2Matrix.from_rows(rows, m.cols), pivots
 
 
@@ -366,7 +384,7 @@ def kernel_basis(m: F2Matrix) -> F2Subspace:
     # word are consecutive; gather their free-column bits word by word
     free_word, free_shift = free // _WORD, (free % _WORD).astype(np.uint64)
     piv_word = piv // _WORD
-    starts = np.flatnonzero(np.diff(piv_word, prepend=-1)).tolist() + [len(piv)]
+    starts = _run_starts(piv_word).tolist() + [len(piv)]
     for s, e in zip(starts[:-1], starts[1:]):
         bits = (r.data[s:e][:, free_word] >> free_shift) & _ONE
         placed = bits << (piv[s:e, None] % _WORD).astype(np.uint64)
@@ -396,7 +414,7 @@ def _solve_rows(m: F2Matrix, rhs_rows: list[int]) -> dict[int, int] | None:
     None when a row with an all-zero M part keeps a right-hand bit.
     """
     shift = m.cols
-    rows, pivots = _reduced_rows(m.row_int(i) | (rhs_rows[i] << shift) for i in range(m.rows))
+    rows, pivots = _reduced_rows(v | (b << shift) for v, b in zip(m.iter_row_ints(), rhs_rows))
     if pivots and pivots[-1] >= shift:
         return None
     return {p: v >> shift for p, v in zip(pivots, rows)}

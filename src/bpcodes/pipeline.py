@@ -303,7 +303,7 @@ def load_and_validate_bundle(out_dir: str) -> dict:
         raise BpcodesError("reloaded checks do not commute")
     if hx.cols != params["N"] or hz.cols != params["N"]:
         raise BpcodesError("reloaded dimensions disagree with params.json")
-    span = IncrementalSpan(hz.row_int(i) for i in range(hz.rows))
+    span = IncrementalSpan(hz.iter_row_ints())
     k = hx.cols - rank(hx) - span.dim
     if k != params["k_homology"]:
         raise BpcodesError("recomputed homology count disagrees with params.json")
@@ -314,7 +314,7 @@ def load_and_validate_bundle(out_dir: str) -> dict:
     for name, reps in (("logical", lm), ("gauge", gm)):
         if not hx.matmul(reps.transpose()).is_zero():
             raise BpcodesError(f"{name} representatives are not cycles")
-        if not all(span.add(reps.row_int(i)) for i in range(reps.rows)):
+        if not all(span.add(v) for v in reps.iter_row_ints()):
             raise BpcodesError(f"{name} representatives depend on hz and the earlier ones")
     if params["bundle_hash"] != _bundle_hash(hx, hz, lm, gm):
         raise BpcodesError("bundle hash mismatch")

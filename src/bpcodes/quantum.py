@@ -3,10 +3,10 @@
 Qubits sit on the chosen degree's cells; the X checks are the outgoing
 differential and the Z checks the transpose of the incoming one, so
 stabilizer commutation is the chain condition itself. Distances are exact
-by enumeration up to ENUMERATION_CAP spanning rows (one meet-in-the-middle
-kernel, shared with the classical distances); dressed distances above the
-cap are reported as explicit (lower, upper) bound pairs, never as exact
-values.
+by enumeration up to ENUMERATION_CAP spanning rows (one information-set
+enumerator, shared with the classical distances); dressed distances above
+the cap are reported as explicit (lower, upper) bound pairs, never as
+exact values.
 """
 
 from __future__ import annotations
@@ -167,13 +167,14 @@ def dressed_distance(
         return DistanceResult(value=_min_detected_weight_of(cycles, detect))
 
     rng = np.random.default_rng(SAMPLED_SEED)
+    rows = cycles.row_ints()
     best_upper = None
     for _ in range(SAMPLED_DRAWS):
         coeffs = rng.integers(0, 2, cycles.rows)
         z = 0
-        for i, c in enumerate(coeffs):
+        for row, c in zip(rows, coeffs):
             if c:
-                z ^= cycles.row_int(i)
+                z ^= row
         if z and detect.mul_vec_int(z) != 0:
             w = z.bit_count()
             if best_upper is None or w < best_upper:

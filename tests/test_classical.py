@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from bpcodes.errors import (
     NoLogicals,
     TooLarge,
 )
-from bpcodes.f2la import F2Matrix, rank
+from bpcodes.complexes import cycle_graph_complex, tensor_complex
+from bpcodes.f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, rref
+from bpcodes.quantum import css_from_complex
 
 
 def brute_force_distance(code: LinearCode) -> int:
@@ -283,3 +287,152 @@ def test_local_code_registry():
     assert local_code_from_spec("goppa:4,2,1").n == 14
     with pytest.raises(DomainError):
         local_code_from_spec("nonsense:1")
+
+
+# -- the information-set enumerator against the meet-in-the-middle one ---------
+
+_PAIR_BLOCK = 1 << 22  # word pairs scanned at once by the reference
+
+
+def _span(rows: np.ndarray) -> np.ndarray:
+    """All 2^len(rows) XORs of subsets of the packed rows, by doubling:
+    entry i combines the rows at the set bits of i."""
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        out[1 << i : 2 << i] = out[: 1 << i] ^ row
+    return out
+
+
+def mitm_min_detected_weight(rows: list[int], images: list[int], n: int) -> int:
+    """The meet-in-the-middle enumerator that the information-set one
+    replaced, kept as a reference: each half's span is built by doubling,
+    and a pair of words is detected exactly when their images differ."""
+    order = sorted(range(len(rows)), key=lambda i: images[i] == 0)
+    words = F2Matrix.from_rows([rows[i] for i in order], n).data
+    image_bits = max((v.bit_length() for v in images), default=0)
+    image_words = F2Matrix.from_rows([images[i] for i in order], image_bits).data
+    half = len(rows) // 2
+    left, right = _span(words[:half]), _span(words[half:])
+    _, ids = np.unique(
+        np.vstack([_span(image_words[:half]), _span(image_words[half:])]),
+        axis=0,
+        return_inverse=True,
+    )
+    left_ids, right_ids = ids.reshape(-1)[: len(left)], ids.reshape(-1)[len(left) :]
+    clashes = np.bincount(right_ids, minlength=len(ids))[left_ids]
+    keep = clashes < len(right)
+    left, left_ids, clashes = left[keep], left_ids[keep], clashes[keep]
+    acc = np.min_scalar_type(n + 1)
+    best = n + 1
+    step = max(1, _PAIR_BLOCK // len(right))
+    xor = np.empty((min(step, len(left)), len(right)), dtype=np.uint64)
+    weight = np.empty(xor.shape, dtype=acc)
+    for lo in range(0, len(left), step):
+        block = left[lo : lo + step]
+        x, w = xor[: len(block)], weight[: len(block)]
+        w.fill(0)
+        for j in range(words.shape[1]):
+            np.bitwise_xor(block[:, None, j], right[None, :, j], out=x)
+            w += np.bitwise_count(x)
+        if clashes[lo : lo + step].any():
+            w[left_ids[lo : lo + step, None] == right_ids[None, :]] = n + 1
+        best = min(best, int(w.min()))
+    if best > n:
+        raise NoLogicals("no combination of the rows is detected")
+    return best
+
+
+def _both(rows, images, n):
+    """Both enumerators' answers, NoLogicals read as None."""
+    out = []
+    for f in (_min_detected_weight, mitm_min_detected_weight):
+        try:
+            out.append(f(rows, images, n))
+        except NoLogicals:
+            out.append(None)
+    return out
+
+
+@st.composite
+def wide_spans(draw):
+    """13-26 seeded random rows, dense or thinned, with all or one of them
+    detected, dependent rows (same or other image), a zero word with a
+    nonzero image, and images up to 70 bits; image width 0 is the
+    no-detection case."""
+    k = draw(st.integers(13, 26))
+    n = draw(st.sampled_from([20, 40, 64, 65, 100]))
+    image_bits = draw(st.sampled_from([0, 1, 2, 5, 70]))
+    thin = draw(st.integers(0, 2))  # each row ANDs this many extra random words
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(k):
+        v = rng.getrandbits(n)
+        for _ in range(thin):
+            v &= rng.getrandbits(n)
+        rows.append(v)
+    images = [rng.getrandbits(image_bits) for _ in range(k)]
+    if draw(st.booleans()):  # one detected row: the minimum over a coset, often deep
+        lone = rng.randrange(k)
+        images = [v if i == lone else 0 for i, v in enumerate(images)]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, c = (rng.randrange(k) for _ in range(3))
+        rows[a] = rows[b] ^ rows[c]
+        if draw(st.booleans()):
+            images[a] = images[b] ^ images[c]
+    if image_bits and draw(st.booleans()):
+        a = rng.randrange(k)
+        rows[a], images[a] = 0, rng.randrange(1, 2**image_bits)
+    return rows, images, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_spans())
+def test_information_sets_match_meet_in_the_middle(span):
+    new, ref = _both(*span)
+    assert new == ref
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["z", "x"])
+def test_information_sets_match_meet_in_the_middle_on_toric(ell, kind):
+    code = css_from_complex(tensor_complex(cycle_graph_complex(ell), cycle_graph_complex(ell)), 1)
+    checks, other = (code.hx, code.hz) if kind == "z" else (code.hz, code.hx)
+    bounds = rref(other)[0].row_ints()
+    span = IncrementalSpan(bounds)
+    reps = [v for v in kernel_basis(checks).basis.row_ints() if span.add(v)]
+    rows = reps + bounds
+    images = [1 << i for i in range(len(reps))] + [0] * len(bounds)
+    assert _both(rows, images, code.n) == [ell, ell]
+    # the same span with every word detected: the plain minimum weight,
+    # a plaquette or star of weight 4 unless a logical is lighter
+    assert _both(rows, [1 << i for i in range(len(rows))], code.n) == [min(ell, 4)] * 2
+
+
+def test_enumerating_28_rows_keeps_memory_flat():
+    """28 rows whose detected minimum, 9, is first certified at level 8,
+    where C(28, 8) = 3.1M subsets: the scan must stream them in blocks."""
+    rng = np.random.default_rng(5)
+    n, k = 36, 28
+    rows = [1 << i for i in range(27)] + [((1 << 9) - 1) << 27]
+    images = [0] * 27 + [1]
+    perm = rng.permutation(n)  # scatter the columns
+    rows = [sum(1 << int(perm[b]) for b in range(n) if (v >> b) & 1) for v in rows]
+    while True:  # mix the rows by a random invertible matrix
+        mix = rng.integers(0, 2, (k, k))
+        if rank(F2Matrix.from_dense(mix)) == k:
+            break
+    mixed, mixed_images = [], []
+    for coeffs in mix:
+        v = w = 0
+        for c, r, i in zip(coeffs, rows, images):
+            if c:
+                v, w = v ^ r, w ^ i
+        mixed.append(v)
+        mixed_images.append(w)
+    tracemalloc.start()
+    try:
+        assert _min_detected_weight(mixed, mixed_images, n) == 9
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -222,6 +222,34 @@ def loop_solve(m: F2Matrix, b: int) -> int | None:
     return sum(1 << p for i, p in enumerate(pivots) if dense[i, m.cols])
 
 
+@settings(max_examples=150, deadline=None)
+@given(dense_arrays())
+def test_from_dense_matches_padded_packbits(d):
+    """from_dense writes the bytes of the row-wise packed bits zero-padded
+    to whole words, as np.pad of np.packbits would."""
+    rows, cols = d.shape
+    width = max(1, -(-cols // 64)) * 8
+    ref = np.zeros((rows, width), dtype=np.uint8)
+    if rows and cols:
+        packed = np.packbits(d, axis=1, bitorder="little")
+        ref = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
+    assert F2Matrix.from_dense(d).data.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(elim_arrays(), st.sampled_from([8, 16, 24, 100, f2la._STREAM_BYTES]))
+def test_row_stream_matches_row_by_row_reads(d, stream_bytes):
+    m = F2Matrix.from_dense(d)
+    ref = [m.row_int(i) for i in range(m.rows)]
+    ref_rref = rref(m)
+    # small blocks split the rows into many tobytes() reads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f2la, "_STREAM_BYTES", stream_bytes)
+        assert list(m.iter_row_ints()) == m.row_ints() == ref
+        assert rref(m) == ref_rref
+        assert rank(F2Matrix.from_dense(d)) == len(ref_rref[1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(elim_arrays())
 def test_rank_and_rref_match_dense_reference(d):
