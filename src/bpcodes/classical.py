@@ -113,9 +113,9 @@ def _min_detected_weight(rows: list[int], images: list[int], n: int) -> int:
     r_j. Level t XORs every t-subset of each generator's rows; once
     levels 1..t of G_j are scanned, a combination not yet seen has at
     least t + 1 - (k - r_j) ones on I_j, so the scan stops once the best
-    detected weight is at most the sum of those bounds. A generator joins
-    the scan, all its levels up to t at once, at the first t where its
-    term is positive.
+    detected weight is at most the sum of those bounds. A generator is
+    built, and joins the scan with all its levels up to t at once, at the
+    first t where its term is positive.
     Raises TooLarge above ENUMERATION_CAP rows and NoLogicals when no
     combination is detected.
     """
@@ -128,21 +128,27 @@ def _min_detected_weight(rows: list[int], images: list[int], n: int) -> int:
         return 0
     k = len(basis)
     word_words = _n_words(n)
-    image_bits = max(basis).bit_length() - n
+    image_words = _n_words(max(basis).bit_length() - n)
     mask = (1 << n) - 1
-    gens = []  # (packed rows [word words | image words], rank r_j)
+    gens = []  # (packed rows [word words | image words], rank r_j), built on joining
+    done = []  # highest level scanned on each generator
     free = mask
-    while free:
-        gen, used = _systematic(basis, free)
-        if not used:
-            break
-        free &= ~used
-        words = F2Matrix.from_rows([v & mask for v in gen], n).data
-        detect = F2Matrix.from_rows([v >> n for v in gen], image_bits).data
-        gens.append((np.hstack([words, detect]), used.bit_count()))
     best = n + 1
-    done = [0] * len(gens)  # highest level scanned on each generator
     for t in range(1, k + 1):
+        # ranks of the greedy sets never grow, so a set joins no earlier than
+        # the one before it: build the next while the last built joins by t
+        while free and (not gens or t + 1 - (k - gens[-1][1]) > 0):
+            gen, used = _systematic(basis, free)
+            if not used:
+                free = 0
+                break
+            free &= ~used
+            raw = b"".join(
+                (v & mask).to_bytes(word_words * 8, "little") + (v >> n).to_bytes(image_words * 8, "little")
+                for v in gen
+            )
+            gens.append((np.frombuffer(raw, dtype=np.uint64).reshape(k, -1), used.bit_count()))
+            done.append(0)
         for j, (packed, r) in enumerate(gens):
             if t + 1 - (k - r) <= 0:
                 continue  # no bound from this set yet; its levels wait until it adds one

@@ -41,6 +41,7 @@ class ChainComplex:
     def __init__(self, dims: dict[int, int], diffs: dict[int, F2Matrix], check: bool = True):
         self.dims = dict(dims)
         self.diffs = dict(diffs)
+        self._zero_maps: dict[int, F2Matrix] = {}  # built on first use
         if not self.dims:
             raise NotChainComplex("empty complex")
         degs = sorted(self.dims)
@@ -65,10 +66,13 @@ class ChainComplex:
         return self.dims.get(i, 0)
 
     def differential(self, i: int) -> F2Matrix:
-        """d_i, materializing the zero map at range ends."""
-        if i in self.diffs:
-            return self.diffs[i]
-        return F2Matrix.zeros(self.dim(i - 1), self.dim(i))
+        """d_i; a missing one is a zero map, built once per complex."""
+        d = self.diffs.get(i)
+        if d is None:
+            d = self._zero_maps.get(i)
+            if d is None:
+                d = self._zero_maps[i] = F2Matrix.zeros(self.dim(i - 1), self.dim(i))
+        return d
 
     def degrees(self) -> range:
         return range(self.min_degree, self.max_degree + 1)
@@ -169,6 +173,7 @@ class DoubleComplex:
         self.grid = dict(grid)
         self.vdiffs = dict(vdiffs)
         self.hdiffs = dict(hdiffs)
+        self._zero_maps: dict[tuple[int, int], F2Matrix] = {}  # by shape, built on first use
         for (p, q), m in self.vdiffs.items():
             if m.rows != self.dim(p, q - 1) or m.cols != self.dim(p, q):
                 raise NotDoubleComplex(f"vertical map at ({p},{q}) has a wrong shape")
@@ -183,11 +188,18 @@ class DoubleComplex:
 
     def vdiff(self, p: int, q: int) -> F2Matrix:
         m = self.vdiffs.get((p, q))
-        return F2Matrix.zeros(self.dim(p, q - 1), self.dim(p, q)) if m is None else m
+        return self._zero(self.dim(p, q - 1), self.dim(p, q)) if m is None else m
 
     def hdiff(self, p: int, q: int) -> F2Matrix:
         m = self.hdiffs.get((p, q))
-        return F2Matrix.zeros(self.dim(p - 1, q), self.dim(p, q)) if m is None else m
+        return self._zero(self.dim(p - 1, q), self.dim(p, q)) if m is None else m
+
+    def _zero(self, rows: int, cols: int) -> F2Matrix:
+        """The zero map of a shape, built once per double complex."""
+        m = self._zero_maps.get((rows, cols))
+        if m is None:
+            m = self._zero_maps[(rows, cols)] = F2Matrix.zeros(rows, cols)
+        return m
 
     def _check_laws(self) -> None:
         for (p, q) in self.grid:

@@ -1,17 +1,23 @@
-"""Exact linear algebra over GF(2) on bit-packed words and index arrays.
+"""Exact linear algebra over GF(2) on sparse index arrays and packed words.
 
-Matrices are stored bit-packed, 64 entries per machine word, as numpy
-uint64 arrays (one row of words per matrix row, LSB-first within a word).
-Structural operations (transpose, permutation, products, stacking) work
-on those words and on the ``(row, col)`` int64 index arrays returned by
-``F2Matrix.nonzeros``, built back with ``F2Matrix.from_entries``; their
-cost follows the number of nonzero words and entries, never rows x cols.
-``to_dense``/``from_dense`` convert small matrices to and from 0/1 arrays.
+An ``F2Matrix`` holds its ones in one of two layouts. Structural results
+(matrices built from entries, zero and identity maps, transposes,
+products, sums, stacks, permutations, row selections) hold sorted CSR:
+``indptr``, the int64 offsets of each row's entries, and ``indices``,
+the int64 column indices of the ones, increasing within each row. Their
+memory and cost follow the number of ones, never rows x cols, which is
+what the differentials of LDPC complexes need. Dense matrices, the ones
+elimination returns (RREF rows, kernel bases, solutions, homology
+representatives) and those built by ``from_rows`` or ``from_dense``,
+hold packed words ``data``: uint64, 64 entries per word, LSB-first, one
+row of words per matrix row. Either layout is derived from the other on
+demand and not kept, so ``data`` is valid on every matrix.
 
 Elimination (``rank``, ``rref``, ``kernel_basis``, ``solve``,
-``solve_matrix``) runs on rows held as Python-int bitsets: a forward pass
-through ``IncrementalSpan`` pivots each row on its lowest set bit, and
-one back-substitution pass yields the reduced echelon form. Its cost
+``solve_matrix``) runs on rows held as Python-int bitsets, packed from
+either layout one block of rows at a time (``iter_row_ints``): a forward
+pass through ``IncrementalSpan`` pivots each row on its lowest set bit,
+and one back-substitution pass yields the reduced echelon form. Its cost
 follows the ones the rows carry, which stays low on sparse LDPC
 differentials; large dense matrices are slower than a word-parallel
 elimination would be. Pivots are the lowest-index nonzero columns, so
@@ -41,8 +47,8 @@ from .errors import (
 
 _WORD = 64
 _ONE = np.uint64(1)
-_GATHER_WORDS = 1 << 18  # words of the temporary in one matmul gather (2 MB)
-_STREAM_BYTES = 1 << 20  # bytes of packed rows read at once by iter_row_ints
+_PRODUCT_PAIRS = 1 << 19  # (row, col) pairs a matmul sorts at once (4 MB a key array)
+_STREAM_BYTES = 1 << 20  # bytes of packed rows built at once by iter_row_blocks
 
 
 def _n_words(cols: int) -> int:
@@ -50,8 +56,8 @@ def _n_words(cols: int) -> int:
 
 
 def _bit_masks(cols: np.ndarray) -> np.ndarray:
-    """The single-bit word holding each column index."""
-    return np.left_shift(_ONE, (cols & (_WORD - 1)).astype(np.uint64))
+    """The single-bit word holding each (nonnegative int64) column index."""
+    return np.left_shift(_ONE, cols.view(np.uint64) & np.uint64(_WORD - 1))
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -62,56 +68,118 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-class F2Matrix:
-    """Immutable bit-packed matrix over GF(2).
+def _odd_keys(key: np.ndarray) -> np.ndarray:
+    """The values that occur an odd number of times in ``key``, sorted;
+    ``key`` itself is sorted in place."""
+    key.sort()
+    edge = np.empty(len(key) + 1, dtype=bool)  # where a run starts, and the end
+    edge[0] = edge[-1] = True
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    if edge.all():
+        return key
+    edges = edge.nonzero()[0]
+    odd = ((edges[1:] - edges[:-1]) & 1).astype(bool)
+    return key[edges[:-1][odd]]
 
-    Entries live in ``data``, shape (rows, n_words) dtype uint64; bit j of
-    row i is ``(data[i, j // 64] >> (j % 64)) & 1``. Bits past ``cols``
-    are always zero.
+
+def _row_cuts(r: np.ndarray, first: np.ndarray, total: int) -> list[int]:
+    """Offsets into the row-major ones ``r`` of a product's left factor
+    that cut it into whole rows listing about _PRODUCT_PAIRS pairs each
+    (more only when one row alone lists more)."""
+    starts = _run_starts(r)
+    before = np.append(first[starts], total)  # pairs listed before each row
+    cuts, lo = [0], 0
+    while lo < len(starts):
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _PRODUCT_PAIRS, "right")) - 1)
+        cuts.append(int(starts[hi]) if hi < len(starts) else len(r))
+        lo = hi
+    return cuts
+
+
+def _packed_nonzeros(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (row, col) int64 index arrays of the set bits of packed
+    words; only the nonzero words are unpacked."""
+    wr, ww = data.nonzero()
+    words = data[wr, ww]
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    k, b = bits.nonzero()
+    return wr[k], ww[k] * _WORD + b
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays writeable."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+class F2Matrix:
+    """Immutable matrix over GF(2) in sorted CSR or in packed words.
+
+    In packed words, bit j of row i is ``(data[i, j // 64] >> (j % 64)) & 1``
+    and bits past ``cols`` are zero. In CSR, the ones of row i sit in the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, strictly increasing.
     """
 
-    __slots__ = ("rows", "cols", "data", "_tcache", "_rank")
+    __slots__ = ("rows", "cols", "_data", "_indptr", "_indices", "_tcache", "_rank")
 
     def __init__(self, rows: int, cols: int, data: np.ndarray):
+        """A matrix held in packed words ``data``, shape (rows, n_words)."""
         if data.shape != (rows, _n_words(cols)) or data.dtype != np.uint64:
             raise DimensionMismatch(
                 f"packed data shape {data.shape} does not match {rows}x{cols}"
             )
         self.rows = rows
         self.cols = cols
-        # freeze a view: the caller's own array stays writeable
-        self.data = data.view()
-        self.data.flags.writeable = False
+        self._data = _frozen(data)
+        self._indptr = self._indices = None
+
+    @staticmethod
+    def _csr(rows: int, cols: int, indptr: np.ndarray, indices: np.ndarray) -> "F2Matrix":
+        """A matrix held in sorted CSR. The int64 arrays must be valid and
+        new: they are made read-only in place."""
+        m = object.__new__(F2Matrix)
+        m.rows, m.cols, m._data, m._indptr, m._indices = rows, cols, None, indptr, indices
+        indptr.flags.writeable = indices.flags.writeable = False
+        return m
+
+    @staticmethod
+    def _from_keys(rows: int, cols: int, key: np.ndarray) -> "F2Matrix":
+        """CSR from sorted, distinct row-major keys ``row * cols + col``."""
+        r, c = np.divmod(key, max(cols, 1))
+        return F2Matrix._csr(rows, cols, r.searchsorted(np.arange(rows + 1)), c)
+
+    @staticmethod
+    def _from_pairs(rows: int, cols: int, r: np.ndarray, c: np.ndarray) -> "F2Matrix":
+        """CSR from in-range (row, col) index arrays; duplicates cancel."""
+        return F2Matrix._from_keys(rows, cols, _odd_keys(r * max(cols, 1) + c))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "F2Matrix":
-        return F2Matrix(rows, cols, np.zeros((rows, _n_words(cols)), dtype=np.uint64))
+        return F2Matrix._csr(rows, cols, np.zeros(rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @staticmethod
     def identity(n: int) -> "F2Matrix":
-        data = np.zeros((n, _n_words(n)), dtype=np.uint64)
-        diag = np.arange(n)
-        data[diag, diag // _WORD] = _bit_masks(diag)
-        return F2Matrix(n, n, data)
+        return F2Matrix._csr(n, n, np.arange(n + 1), np.arange(n))
 
     @staticmethod
     def from_dense(a) -> "F2Matrix":
+        """Packed words of a 0/1 array."""
         a = np.asarray(a, dtype=np.uint8) % 2
         if a.ndim != 2:
             raise DimensionMismatch("expected a 2-d array")
         rows, cols = a.shape
-        if cols == 0 or rows == 0:
-            return F2Matrix.zeros(rows, cols)
-        packed = np.packbits(a, axis=1, bitorder="little")
         data = np.zeros((rows, _n_words(cols) * 8), dtype=np.uint8)
-        data[:, : packed.shape[1]] = packed
+        if rows and cols:
+            packed = np.packbits(a, axis=1, bitorder="little")
+            data[:, : packed.shape[1]] = packed
         return F2Matrix(rows, cols, data.view(np.uint64))
 
     @staticmethod
     def from_rows(int_rows: list[int], cols: int) -> "F2Matrix":
-        """Build from Python ints used as little-endian bitsets."""
+        """Build packed words from Python ints used as little-endian bitsets."""
         for i, r in enumerate(int_rows):
             if r < 0 or (cols < r.bit_length()):
                 raise DimensionMismatch(f"row {i} does not fit in {cols} columns")
@@ -142,71 +210,93 @@ class F2Matrix:
         if len(bad):
             i, j = int(r[bad[0]]), int(c[bad[0]])
             raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-        data = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
-        np.bitwise_xor.at(data, (r, c // _WORD), _bit_masks(c))
-        return F2Matrix(rows, cols, data)
+        return F2Matrix._from_pairs(rows, cols, r.ravel(), c.ravel())
+
+    # -- layouts ------------------------------------------------------
+
+    def _sparse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices), derived from packed words when not held."""
+        if self._indices is not None:
+            return self._indptr, self._indices
+        r, c = _packed_nonzeros(self._data)
+        return r.searchsorted(np.arange(self.rows + 1)), c
+
+    @property
+    def data(self) -> np.ndarray:
+        """Packed words, shape (rows, n_words); built afresh for CSR."""
+        if self._data is not None:
+            return self._data
+        return _frozen(self._packed(0, self.rows))
+
+    def _packed(self, lo: int, hi: int) -> np.ndarray:
+        """Packed words of rows lo..hi-1."""
+        if self._data is not None:
+            return self._data[lo:hi]
+        nw = _n_words(self.cols)
+        out = np.zeros((hi - lo, nw), dtype=np.uint64)
+        ptr = self._indptr[lo : hi + 1]
+        a, b = int(ptr[0]), int(ptr[-1])
+        if a < b:
+            # bit offset of each one in the block's row-major words
+            pos = np.arange(0, (hi - lo) * nw * _WORD, nw * _WORD).repeat(ptr[1:] - ptr[:-1])
+            pos += self._indices[a:b]
+            np.bitwise_or.at(out.reshape(-1), pos >> 6, _bit_masks(pos))
+        return out
+
+    def iter_row_blocks(self):
+        """Packed words of consecutive row blocks of about _STREAM_BYTES each."""
+        per = max(1, _STREAM_BYTES // (_n_words(self.cols) * 8))
+        for lo in range(0, self.rows, per):
+            yield self._packed(lo, min(lo + per, self.rows))
 
     # -- accessors ----------------------------------------------------
 
-    def get(self, i: int, j: int) -> int:
-        return int(self.data[i, j // _WORD] >> np.uint64(j % _WORD)) & 1
-
     def row_int(self, i: int) -> int:
-        return int.from_bytes(self.data[i].tobytes(), "little")
+        return int.from_bytes(self._packed(i, i + 1).tobytes(), "little")
 
     def row_ints(self) -> list[int]:
         return list(self.iter_row_ints())
 
     def iter_row_ints(self):
         """The rows as Python-int bitsets, in order, converted from one
-        ``tobytes()`` block of about _STREAM_BYTES at a time."""
-        width = self.data.shape[1] * 8
-        per = max(1, _STREAM_BYTES // width)
-        for lo in range(0, self.rows, per):
-            buf = self.data[lo : lo + per].tobytes()
+        ``tobytes()`` of each block of ``iter_row_blocks``."""
+        width = _n_words(self.cols) * 8
+        for block in self.iter_row_blocks():
+            buf = block.tobytes()
             for off in range(0, len(buf), width):
                 yield int.from_bytes(buf[off : off + width], "little")
 
     def to_dense(self) -> np.ndarray:
-        if self.cols == 0:
-            return np.zeros((self.rows, 0), dtype=np.uint8)
-        bits = np.unpackbits(
-            self.data.view(np.uint8), axis=1, bitorder="little", count=self.cols
-        )
-        return bits.astype(np.uint8)
+        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        out[self.nonzeros()] = 1
+        return out
 
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
-        """int64 (row, col) index arrays of the ones, in row-major order.
-
-        Only the nonzero words are unpacked.
-        """
-        wr, ww = np.nonzero(self.data)
-        words = self.data[wr, ww]
-        bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-        k, b = np.nonzero(bits)
-        rows, cols = wr[k], ww[k] * _WORD + b
-        return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+        """int64 (row, col) index arrays of the ones, in row-major order."""
+        if self._indices is None:
+            return _packed_nonzeros(self._data)
+        ptr = self._indptr
+        return np.arange(self.rows).repeat(ptr[1:] - ptr[:-1]), self._indices
 
     def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.data).sum(axis=1).astype(np.int64)
+        ptr = self._sparse()[0]
+        return ptr[1:] - ptr[:-1]
 
     def col_weights(self) -> np.ndarray:
-        _, c = self.nonzeros()
-        return np.bincount(c, minlength=self.cols).astype(np.int64)
+        return np.bincount(self._sparse()[1], minlength=self.cols)
 
     def is_zero(self) -> bool:
-        return not self.data.any()
+        return not len(self._sparse()[1])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, F2Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.data, other.data))
-        )
+        if not (isinstance(other, F2Matrix) and (self.rows, self.cols) == (other.rows, other.cols)):
+            return False
+        (p, i), (q, j) = self._sparse(), other._sparse()
+        return bool(np.array_equal(p, q) and np.array_equal(i, j))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data.tobytes()))
+        indptr, indices = self._sparse()
+        return hash((self.rows, self.cols, indptr.tobytes(), indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.rows}x{self.cols})"
@@ -215,34 +305,41 @@ class F2Matrix:
 
     def transpose(self) -> "F2Matrix":
         r, c = self.nonzeros()
-        return F2Matrix.from_entries(self.cols, self.rows, (c, r))
+        key = c * max(self.rows, 1) + r
+        key.sort()
+        return F2Matrix._from_keys(self.cols, self.rows, key)
 
     def add(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return F2Matrix(self.rows, self.cols, self.data ^ other.data)
+        (r1, c1), (r2, c2) = self.nonzeros(), other.nonzeros()
+        return F2Matrix._from_pairs(self.rows, self.cols, np.concatenate([r1, r2]), np.concatenate([c1, c2]))
 
     def matmul(self, other: "F2Matrix") -> "F2Matrix":
-        """Matrix product over GF(2): result[i] = XOR of other's rows selected by row i."""
+        """Matrix product over GF(2): row i is the XOR of other's rows at the
+        ones of row i. Every (row, col) pair of the expansion is listed and
+        pairs met an even number of times cancel; at most about
+        _PRODUCT_PAIRS pairs are listed at once, whole rows of self at a time."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = np.zeros((self.rows, _n_words(other.cols)), dtype=np.uint64)
+        ptr, idx = other._sparse()
         r, c = self.nonzeros()
-        if len(r):
-            starts = _run_starts(r)
-            # gather other's rows for whole rows of self, about _GATHER_WORDS
-            # words at a time, so the temporary stays small on big products
-            per = max(1, _GATHER_WORDS // other.data.shape[1])
-            cuts = _run_starts(starts // per).tolist() + [len(starts)]
-            bounds = starts.tolist() + [len(r)]
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                lo, hi = bounds[a], bounds[b]
-                out[r[starts[a:b]]] = np.bitwise_xor.reduceat(
-                    other.data[c[lo:hi]], starts[a:b] - lo, axis=0
-                )
-        return F2Matrix(self.rows, other.cols, out)
+        if not (len(r) and len(idx)):
+            return F2Matrix.zeros(self.rows, other.cols)
+        n = ptr[c + 1] - ptr[c]  # pairs listed for each one of self
+        first = n.cumsum() - n  # position of each one's first pair
+        total = int(first[-1] + n[-1])
+        cuts = _row_cuts(r, first, total) if total > _PRODUCT_PAIRS else [0, len(r)]
+        width = max(other.cols, 1)
+        keys = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            pos = np.arange(first[a], first[b - 1] + n[b - 1])
+            cols = idx[(ptr[c[a:b]] - first[a:b]).repeat(n[a:b]) + pos]
+            keys.append(_odd_keys(r[a:b].repeat(n[a:b]) * width + cols))
+        key = keys[0] if len(keys) == 1 else np.concatenate(keys)
+        return F2Matrix._from_keys(self.rows, other.cols, key)
 
     def mul_vec_int(self, x: int) -> int:
         """Apply to a column vector given as a bitset int; returns a bitset int."""
@@ -267,19 +364,27 @@ class F2Matrix:
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
         (r1, c1), (r2, c2) = self.nonzeros(), other.nonzeros()
-        ones = (np.concatenate([r1, r2]), np.concatenate([c1, c2 + self.cols]))
-        return F2Matrix.from_entries(self.rows, self.cols + other.cols, ones)
+        width = self.cols + other.cols
+        key = np.concatenate([r1 * width + c1, r2 * width + (c2 + self.cols)])
+        key.sort()
+        return F2Matrix._from_keys(self.rows, width, key)
 
     def vstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return F2Matrix(
-            self.rows + other.rows, self.cols, np.vstack([self.data, other.data])
+        (p, i), (q, j) = self._sparse(), other._sparse()
+        return F2Matrix._csr(
+            self.rows + other.rows, self.cols, np.concatenate([p, q[1:] + p[-1]]), np.concatenate([i, j])
         )
 
     def submatrix_rows(self, idx) -> "F2Matrix":
         idx = np.asarray(idx, dtype=np.int64)
-        return F2Matrix(len(idx), self.cols, self.data[idx].copy())
+        ptr, indices = self._sparse()
+        n = ptr[idx + 1] - ptr[idx]
+        out = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(n, out=out[1:])
+        pos = (ptr[idx] - out[:-1]).repeat(n) + np.arange(out[-1])
+        return F2Matrix._csr(len(idx), self.cols, out, indices[pos])
 
     def permuted(self, row_perm, col_perm) -> "F2Matrix":
         """Rows and columns relocated: entry (i, j) moves to
@@ -287,7 +392,7 @@ class F2Matrix:
         r, c = self.nonzeros()
         rp = np.asarray(row_perm, dtype=np.int64)
         cp = np.asarray(col_perm, dtype=np.int64)
-        return F2Matrix.from_entries(self.rows, self.cols, (rp[r], cp[c]))
+        return F2Matrix._from_pairs(self.rows, self.cols, rp[r], cp[c])
 
 
 def _reduced_rows(rows) -> tuple[list[int], list[int]]:
@@ -358,12 +463,11 @@ class F2Subspace:
 
     def contains(self, v: int) -> bool:
         """Membership test for a vector given as a bitset int."""
-        aug = F2Matrix.from_rows(self.basis.row_ints() + [v], self.ambient_dim)
-        return rank(aug) == self.dim
+        return IncrementalSpan(self.basis.iter_row_ints()).contains(v)
 
     def contains_space(self, other: "F2Subspace") -> bool:
-        stacked = self.basis.vstack(other.basis)
-        return rank(stacked) == self.dim
+        span = IncrementalSpan(self.basis.iter_row_ints())
+        return all(span.contains(v) for v in other.basis.iter_row_ints())
 
 
 def kernel_basis(m: F2Matrix) -> F2Subspace:
@@ -484,15 +588,13 @@ class IncrementalSpan:
 # -- alist import/export ----------------------------------------------
 
 
-def _index_lists(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
-    """One line per major index: its 1-based minor indices, space separated.
-
-    ``major`` must be sorted and ``minor`` increasing within each major.
-    """
-    words = (minor + 1).astype(str).tolist()
-    ends = np.cumsum(np.bincount(major, minlength=n)).tolist()
-    starts = [0] + ends[:-1]
-    return [" ".join(words[s:e]) for s, e in zip(starts, ends)]
+def _index_lists(csr: tuple[np.ndarray, np.ndarray]) -> list[str]:
+    """One line per row of a CSR pair: its 1-based column indices, space
+    separated."""
+    indptr, indices = csr
+    words = (indices + 1).astype(str).tolist()
+    bounds = indptr.tolist()
+    return [" ".join(words[s:e]) for s, e in zip(bounds, bounds[1:])]
 
 
 def alist_dumps(m: F2Matrix) -> str:
@@ -500,18 +602,15 @@ def alist_dumps(m: F2Matrix) -> str:
 
     Index lists are 1-based; shorter lists are not zero-padded.
     """
-    r, c = m.nonzeros()
-    by_col = np.argsort(c, kind="stable")
-    col_deg = np.bincount(c, minlength=m.cols)
-    row_deg = np.bincount(r, minlength=m.rows)
+    col_deg, row_deg = m.col_weights(), m.row_weights()
     lines = [
         f"{m.cols} {m.rows}",
         f"{col_deg.max(initial=0)} {row_deg.max(initial=0)}",
         " ".join(col_deg.astype(str).tolist()),
         " ".join(row_deg.astype(str).tolist()),
     ]
-    lines.extend(_index_lists(c[by_col], r[by_col], m.cols))
-    lines.extend(_index_lists(r, c, m.rows))
+    lines.extend(_index_lists(m.transpose()._sparse()))
+    lines.extend(_index_lists(m._sparse()))
     return "\n".join(lines) + "\n"
 
 
@@ -592,11 +691,11 @@ def alist_loads(text: str) -> F2Matrix:
     row_rows, row_cols, pos = _alist_lists(tokens, pos, row_deg, max_row, n, "row")
     if pos != len(tokens):
         raise AlistTrailingTokens(f"{len(tokens) - pos} tokens after the row lists")
-    if not np.array_equal(
-        _entry_keys(rows, cols, n, "column"), _entry_keys(row_rows, row_cols, n, "row")
-    ):
+    col_key = _entry_keys(rows, cols, n, "column")
+    key = _entry_keys(row_rows, row_cols, n, "row")
+    if not np.array_equal(col_key, key):
         raise AlistListsDisagree("row lists and column lists describe different matrices")
-    return F2Matrix.from_entries(mm, n, (rows, cols))
+    return F2Matrix._from_keys(mm, n, key)
 
 
 def read_alist(path) -> F2Matrix:

@@ -268,14 +268,17 @@ def _read_rows(path: str, cols: int) -> F2Matrix:
     text = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), cols)
     if ((text != ord("0")) & (text != ord("1"))).any():
         raise BundleCorrupt(f"{path}: rows may hold only 0 and 1")
-    return F2Matrix.from_entries(len(lines), cols, np.nonzero(text == ord("1")))
+    return F2Matrix.from_dense(text == ord("1"))
 
 
 def _bundle_hash(*mats: F2Matrix) -> str:
+    """SHA-256 over each matrix's shape and packed words, the words packed
+    one row block at a time."""
     h = hashlib.sha256()
     for m in mats:
         h.update(str((m.rows, m.cols)).encode())
-        h.update(m.data.tobytes())
+        for block in m.iter_row_blocks():
+            h.update(block.tobytes())
     return h.hexdigest()
 
 

@@ -22,6 +22,7 @@ source-lift (the orbit member through the source vertex representative);
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -795,10 +796,8 @@ def homology_split(inst: CircleProductInstance) -> HomologySplit:
     # u-basis element lies over exactly one base edge, so this is the
     # codeword times the fiber-sum incidence
     iota = base_code.matmul(fiber_sum)
-    iota_rows = iota.row_ints()
 
-    # boundary space at degree 1; the full homology basis only when asked
-    bounds = tot.boundary_space(1).basis
+    # the full homology basis only when asked
     if with_projections:
         h1 = tot.homology_basis(1)
         reps = h1.cycle_reps.basis
@@ -812,9 +811,13 @@ def homology_split(inst: CircleProductInstance) -> HomologySplit:
         qd.base.n * c, n1, (check_keys // ell, u_dim + np.arange(len(check_keys)))
     ).row_ints()
 
-    # choose vertical classes extending (boundaries + horizontal classes)
-    span = IncrementalSpan(bounds.row_ints() + iota_rows)
+    # choose vertical classes extending (boundaries + horizontal classes);
+    # the degree-1 boundaries are spanned by the rows of d_2^T, so no
+    # reduced boundary basis is built for this
+    boundary_rows = tot.differential(2).transpose().iter_row_ints()
+    span = IncrementalSpan(chain(boundary_rows, iota.iter_row_ints()))
     v_rows = [cand for cand in v_candidates if span.add(cand)]
+    del span  # its echelon rows are the largest object here; free them before the ranks
     v_reps = F2Matrix.from_rows(v_rows, n1)
     h_reps = iota
 
@@ -849,6 +852,7 @@ def homology_split(inst: CircleProductInstance) -> HomologySplit:
     # vertical coordinates: solve against (v_reps | boundaries) after removing
     # the horizontal component
     residues = reps_t.add(iota.transpose().matmul(p_h))
+    bounds = h1.boundary_space.basis
     x = solve_matrix(v_reps.vstack(bounds).transpose(), residues)
     if x is None:
         raise KunnethViolation("residue class is not vertical modulo boundaries")

@@ -135,13 +135,13 @@ def test_permuted_matches_dense(d, seed):
     dense_arrays(),
     st.sampled_from(COLS),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 2, 3, 7, f2la._GATHER_WORDS]),
+    st.sampled_from([1, 2, 3, 7, f2la._PRODUCT_PAIRS]),
 )
-def test_matmul_matches_dense(a, cols, seed, gather_words):
+def test_matmul_matches_dense(a, cols, seed, product_pairs):
     b = (np.random.default_rng(seed).random((a.shape[1], cols)) < 0.4).astype(np.uint8)
-    # small gather sizes split the product into many chunks of whole rows
+    # small pair budgets split the product into many chunks of whole rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(f2la, "_GATHER_WORDS", gather_words)
+        mp.setattr(f2la, "_PRODUCT_PAIRS", product_pairs)
         prod = F2Matrix.from_dense(a).matmul(F2Matrix.from_dense(b))
     ref = (a.astype(np.int64) @ b.astype(np.int64)) % 2
     assert (prod.rows, prod.cols) == ref.shape

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -327,3 +328,42 @@ def test_bundle_loader_names_the_fault(toy_bundle, name, text, error):
             f.write(text)
         with pytest.raises(error):
             load_and_validate_bundle(tmp)
+
+
+# -- pinned bundle files ----------------------------------------------
+
+# SHA-256 of every file of two seeded bundles. params.json carries
+# lambda2 and the beta_ho / beta_co bounds computed from it, so these pin
+# them bit for bit together with the matrices and representatives.
+PINNED_BUNDLES = [
+    (
+        Recipe(graph="cycle:9", ell=3, local="rep:2"),
+        {
+            "gauge_z.txt": "05d833c6dcb2dc9e826b3e9801732b16fab4b64743e56850f7463ce7ca30d7fa",
+            "hx.alist": "ea9baebf7537c8b1cb4960c565c39d78d39f3bc853b53879ce06f3cacc74ab47",
+            "hz.alist": "5a1ce6662f476cc6cdfb6e265970eb4cc37fc424804a395e65e70f4695b3b71e",
+            "logicals_z.txt": "16475c81eeb8ebb41debe474bfea15fbcc03d00b0ddc65aa46f3aebffcda397b",
+            "params.json": "bb99ebf311a168f265568ad64d0741d59f4377ddd58c2718bfd83c38bbc575b7",
+        },
+    ),
+    (
+        Recipe(graph="lps", p=5, q=13, local="gv:6,0.1,0"),
+        {
+            "gauge_z.txt": "3933916bd73098b8dfbceca5803f89ad7989cbd8c37c93f8eb3cc9ff55b8f4be",
+            "hx.alist": "b1bbc276c54be3f276ac3a3c51b6ca4d624856aea03059ed93dd6a123c9f2de4",
+            "hz.alist": "5741fb8d6c927f28aae56b2e019c3534326e0a4fede569fde26f6363046b9e30",
+            "logicals_z.txt": "e7d079f24d1839edcd68475e89a6c933383a9ae317b6b3f241559d29c977dd61",
+            "params.json": "3e71b745cae4e5e5f42adec4929c1bc306452c890c3a5022f58bc4561dbcda97",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("recipe, digests", PINNED_BUNDLES, ids=["toy", "lps_5_13"])
+def test_bundle_files_are_pinned(tmp_path, recipe, digests):
+    build_bundle(recipe, str(tmp_path))
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(tmp_path))
+    }
+    assert got == digests
