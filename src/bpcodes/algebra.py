@@ -249,11 +249,6 @@ class FiniteGroup:
             frontier = nxt
         return sorted(seen)
 
-    def dump_generators(self) -> dict:
-        """JSON-ready description (name, order, element sample)."""
-        sample = [repr(self.elements[i]) for i in range(min(self.order, 8))]
-        return {"name": self.name, "order": self.order, "elements_head": sample}
-
 
 class _CyclicGroup(FiniteGroup):
     """Z_n on the indices 0..n-1: products are (i + j) mod n."""

@@ -497,23 +497,31 @@ def local_code_from_spec(spec: str) -> LinearCode:
     if head == "hamming7":
         return hamming_7_4()
     if head == "rep":
-        return repetition_code(int(arg))
+        return repetition_code(*_spec_numbers(spec, arg, (int,), 1))
     if head == "full":
-        return full_space_code(int(arg))
+        return full_space_code(*_spec_numbers(spec, arg, (int,), 1))
     if head == "bch":
-        s, t = (int(x) for x in arg.split(","))
-        return bch_code(s, t)
+        return bch_code(*_spec_numbers(spec, arg, (int, int), 2))
     if head == "goppa":
-        parts = arg.split(",")
-        m, t = int(parts[0]), int(parts[1])
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return random_separable_goppa(m, t, seed)
+        return random_separable_goppa(*_spec_numbers(spec, arg, (int, int, int), 2))
     if head == "gv":
-        parts = arg.split(",")
-        s, delta = int(parts[0]), float(parts[1])
-        seed = int(parts[2]) if len(parts) > 2 else 0
+        s, delta, seed = _spec_numbers(spec, arg, (int, float, int), 2)
         return gv_plus_search(s, delta, seed=seed).code
     raise DomainError(f"unknown local code spec {spec!r}")
+
+
+def _spec_numbers(spec: str, arg: str, types: tuple, required: int) -> list:
+    """The comma-separated numbers of a local code spec, each converted by
+    its entry of ``types``; those past the first ``required`` may be left
+    out and default to 0. Raises DomainError, as an unknown spec does."""
+    fields = arg.split(",")
+    if required <= len(fields) <= len(types):
+        try:
+            values = [t(x) for t, x in zip(types, fields)]
+            return values + [0] * (len(types) - len(values))
+        except ValueError:
+            pass
+    raise DomainError(f"malformed local code spec {spec!r}")
 
 
 def random_separable_goppa(m: int, t: int, seed: int = 0) -> LinearCode:

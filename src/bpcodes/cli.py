@@ -123,12 +123,11 @@ def _cmd_spectrum(args) -> int:
     print("graph,n,s,lambda2,ramanujan_bound")
     for spec in args.graph:
         if spec.startswith("lps:"):
-            p, q = (int(x) for x in spec.split(":", 1)[1].split(","))
-            g, _, _ = lps_graph(p, q)
+            g, _, _ = lps_graph(*_spec_ints(spec, 2))
         elif spec.startswith("cycle:"):
-            g = cycle_labeled_graph(int(spec.split(":", 1)[1]))
+            g = cycle_labeled_graph(*_spec_ints(spec, 1))
         elif spec.startswith("complete:"):
-            g = complete_graph(int(spec.split(":", 1)[1]))
+            g = complete_graph(*_spec_ints(spec, 1))
         elif spec == "klein":
             g, _, _, _ = klein_quartic_graph()
         else:
@@ -136,6 +135,18 @@ def _cmd_spectrum(args) -> int:
         lam2 = second_eigenvalue(g)
         print(f"{spec},{g.n},{g.s},{lam2:.6f},{2 * math.sqrt(g.s - 1):.6f}")
     return 0
+
+
+def _spec_ints(spec: str, count: int) -> list[int]:
+    """The ``count`` comma-separated integers after the colon of a graph
+    spec; RecipeInvalid when there are not exactly that many."""
+    try:
+        values = [int(x) for x in spec.split(":", 1)[1].split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise RecipeInvalid(f"malformed graph spec {spec!r}")
+    return values
 
 
 if __name__ == "__main__":

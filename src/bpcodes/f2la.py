@@ -307,7 +307,9 @@ class F2Matrix:
         r, c = self.nonzeros()
         key = c * max(self.rows, 1) + r
         key.sort()
-        return F2Matrix._from_keys(self.cols, self.rows, key)
+        t = F2Matrix._from_keys(self.cols, self.rows, key)
+        t._rank = getattr(self, "_rank", None)  # rank(m^T) = rank(m)
+        return t
 
     def add(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

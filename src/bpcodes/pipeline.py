@@ -77,7 +77,10 @@ class Recipe:
                 raise RecipeInvalid("cyclic order must be odd")
             return replace(self, ell=ell)
         if self.graph.startswith("cycle:"):
-            n = int(self.graph.split(":", 1)[1])
+            try:
+                n = int(self.graph.split(":", 1)[1])
+            except ValueError:
+                raise RecipeInvalid(f"malformed cycle length in {self.graph!r}") from None
             if self.ell is None:
                 raise RecipeInvalid("cycle builds need the subgroup order")
             if self.ell % 2 == 0:
@@ -102,9 +105,13 @@ class BuildResult:
 
 def load_registry(path: str) -> dict[str, str]:
     """Named local-code recipes: a JSON object mapping names to spec strings
-    (e.g. {"klein-local": "hamming7", "small-random": "gv:6,0.1,0"})."""
-    with open(path) as f:
-        reg = json.load(f)
+    (e.g. {"klein-local": "hamming7", "small-random": "gv:6,0.1,0"}).
+    A file that cannot be read or is not JSON raises RecipeInvalid."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            reg = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise RecipeInvalid(f"registry {path}: {exc}") from exc
     if not isinstance(reg, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in reg.items()
     ):

@@ -22,7 +22,6 @@ source-lift (the orbit member through the source vertex representative);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -730,8 +729,9 @@ class HomologySplit:
     """Splitting of the middle homology into horizontal and vertical parts.
 
     Horizontal classes are spanned by full-fiber lifts of base Tanner
-    codewords; vertical ones by constant-fiber check cycles. p_h and p_v
-    give the two projections in the coordinates of ``homology_reps``.
+    codewords; vertical ones by constant-fiber check chains, chosen on the
+    base (see ``homology_split``). p_h and p_v give the two projections in
+    the coordinates of ``homology_reps``.
     """
 
     middle_dim: int
@@ -764,6 +764,12 @@ def homology_split(inst: CircleProductInstance) -> HomologySplit:
     carries cycles onto base Tanner codewords, kills boundaries, and
     composed with the full-fiber lift is the identity on the base code
     because the cyclic order is odd.
+
+    The vertical classes are chosen on the base. Boundaries, horizontal
+    representatives and check chains are all fixed by the Z_ell rotation,
+    so for odd ell the orbit sum decides which check chains are new
+    classes; it maps a boundary d(e, j) to column e of the base Tanner
+    differential. The full-size ranks check h + v == dim H_1.
 
     Above PROJECTION_CAP_DIM middle cells the homology basis and the
     projection matrices are not materialized (``p_h`` and ``p_v`` have no
@@ -804,26 +810,17 @@ def homology_split(inst: CircleProductInstance) -> HomologySplit:
     else:
         reps = F2Matrix.zeros(0, n1)
 
-    # vertical candidates: constant-fiber check chains, placed after the u block
-    c = inst.tanner.checks_per_vertex
+    # vertical classes: constant-fiber check chains (after the u block) over
+    # the base checks whose unit vectors extend the base column space
+    span = IncrementalSpan(base_diff.transpose().iter_row_ints())
+    chosen = [b for b in range(base_diff.rows) if span.add(1 << b)]
     check_keys = maps.get((0, 1), np.zeros(0, dtype=np.int64))
-    v_candidates = F2Matrix.from_entries(
-        qd.base.n * c, n1, (check_keys // ell, u_dim + np.arange(len(check_keys)))
-    ).row_ints()
-
-    # choose vertical classes extending (boundaries + horizontal classes);
-    # the degree-1 boundaries are spanned by the rows of d_2^T, so no
-    # reduced boundary basis is built for this
-    boundary_rows = tot.differential(2).transpose().iter_row_ints()
-    span = IncrementalSpan(chain(boundary_rows, iota.iter_row_ints()))
-    v_rows = [cand for cand in v_candidates if span.add(cand)]
-    del span  # its echelon rows are the largest object here; free them before the ranks
-    v_reps = F2Matrix.from_rows(v_rows, n1)
+    v_reps = F2Matrix.from_entries(
+        base_diff.rows, n1, (check_keys // ell, u_dim + np.arange(len(check_keys)))
+    ).submatrix_rows(chosen)
     h_reps = iota
 
-    homology_dim = (
-        reps.rows if with_projections else tot.homology_dim(1)
-    )
+    homology_dim = reps.rows if with_projections else tot.homology_dim(1)
     if h_reps.rows + v_reps.rows != homology_dim:
         raise KunnethViolation(
             "horizontal and vertical classes do not span the middle homology"

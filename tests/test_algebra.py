@@ -252,9 +252,3 @@ def test_gf2m_poly_eval():
     # p(x) = x^2 + 1 at x = g: g^2 + 1
     g = f.generator()
     assert f.poly_eval([1, 0, 1], g) == f.mul(g, g) ^ 1
-
-
-def test_group_dump():
-    g = build_pgl2(3)
-    d = g.dump_generators()
-    assert d["order"] == 24 and d["name"] == "PGL(2,3)"

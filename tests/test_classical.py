@@ -289,6 +289,12 @@ def test_local_code_registry():
         local_code_from_spec("nonsense:1")
 
 
+@pytest.mark.parametrize("spec", ["rep:x", "gv:6", "full:", "bch:15", "goppa:4,2,1,0", "gv:6,x,0"])
+def test_malformed_local_spec_is_a_domain_error(spec):
+    with pytest.raises(DomainError, match="malformed local code spec"):
+        local_code_from_spec(spec)
+
+
 # -- the information-set enumerator against the meet-in-the-middle one ---------
 
 _PAIR_BLOCK = 1 << 22  # word pairs scanned at once by the reference

@@ -165,6 +165,21 @@ def test_transpose_matches_packed_reference(spec, packed):
 
 
 @settings(max_examples=200, deadline=None)
+@given(specs(), layouts)
+def test_transpose_carries_a_known_rank(spec, packed):
+    """rank(m^T) = rank(m): a transpose taken once m is ranked holds the
+    rank that a fresh elimination of its own rows gives."""
+    m, _ = build(spec, packed)
+    fresh = f2la.rank(m.transpose())  # m is not ranked yet: nothing to carry
+    t = m.transpose()
+    assert t._rank is None
+    r = f2la.rank(m)
+    carried = m.transpose()
+    assert carried._rank == r == fresh
+    assert carried.transpose()._rank == r
+
+
+@settings(max_examples=200, deadline=None)
 @given(specs(), st.integers(0, 2**32 - 1), layouts, layouts)
 def test_add_and_equality_match_packed_reference(spec, seed, packed_a, packed_b):
     rows, cols, _, _ = spec

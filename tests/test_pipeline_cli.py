@@ -130,6 +130,62 @@ def test_cli_verify_unknown_suite():
         main(["verify", "--suite", "bogus"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--graph", "cycle:abc", "--ell", "3", "--local", "rep:2"],
+        ["spectrum", "--graph", "lps:5"],
+        ["spectrum", "--graph", "cycle:x"],
+    ],
+    ids=["build-cycle-abc", "spectrum-lps-5", "spectrum-cycle-x"],
+)
+def test_cli_malformed_graph_spec_exit_code(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path)] if argv[0] == "build" else []
+    assert main(argv + out) == 2
+    assert "invalid recipe: malformed" in capsys.readouterr().err
+
+
+def test_recipe_malformed_cycle_length_is_invalid():
+    with pytest.raises(RecipeInvalid, match="malformed cycle length"):
+        Recipe(graph="cycle:abc", ell=3, local="rep:2").validated()
+
+
+@pytest.mark.parametrize("text", [None, "{not json", b"\xff\xfe"], ids=["missing", "malformed", "not-utf8"])
+def test_unreadable_registry_is_invalid(tmp_path, capsys, text):
+    from bpcodes.pipeline import load_registry
+
+    reg_path = tmp_path / "registry.json"
+    if isinstance(text, bytes):
+        reg_path.write_bytes(text)
+    elif text is not None:
+        reg_path.write_text(text)
+    with pytest.raises(RecipeInvalid, match="registry"):
+        load_registry(str(reg_path))
+    argv = ["build", "--graph", "cycle:9", "--ell", "3", "--local", "tiny"]
+    assert main(argv + ["--registry", str(reg_path), "--out", str(tmp_path / "b")]) == 2
+
+
+def test_build_eliminates_each_differential_once(tmp_path, monkeypatch):
+    """One lps(5,7) build (N = 1680, above PROJECTION_CAP_DIM) eliminates d1
+    and d2 once each and d2^T never. Every GF(2) elimination reads its
+    matrix through ``iter_row_ints``; hz = d2^T takes rank(d2) from the
+    transpose, and the vertical classes are chosen on the base."""
+    read = []
+    iter_row_ints = F2Matrix.iter_row_ints
+
+    def recording(self):
+        read.append(self)
+        return iter_row_ints(self)
+
+    monkeypatch.setattr(F2Matrix, "iter_row_ints", recording)
+    res = build_bundle(Recipe(p=5, q=7), str(tmp_path))
+    monkeypatch.undo()
+    tot = res.instance.product.total
+    d1, d2 = tot.differential(1), tot.differential(2)
+    assert d1.cols == res.params["N"] == 1680
+    assert [sum(m == d for m in read) for d in (d1, d2, d2.transpose())] == [1, 1, 0]
+
+
 def test_registry_resolution(tmp_path):
     from bpcodes.pipeline import load_registry, resolve_local_spec
 

@@ -23,8 +23,10 @@ from bpcodes.errors import (
 )
 from bpcodes.f2la import F2Matrix, IncrementalSpan, kernel_basis, rank
 from bpcodes.graphs import cycle_labeled_graph, cycle_rotation_action
+from bpcodes.pipeline import Recipe, build_instance
 from bpcodes.products import (
     ComplexWithAction,
+    _canonical_maps,
     balanced_product,
     circle_balanced_product,
     cycle_complex_with_action,
@@ -387,6 +389,62 @@ def test_split_invariant_under_adding_boundaries(toy):
             if rng.integers(0, 2):
                 b ^= bounds.row_int(i)
         assert split.fiber_sum.mul_vec_int(z ^ b) == base_img
+
+
+def _full_size_v_reps(inst):
+    """The vertical selection homology_split made at full size before it
+    moved to the base: a greedy pass over the constant-fiber check chains
+    against a span of the rows of d_2^T and the horizontal
+    representatives. Returns (v_reps, dim_h)."""
+    bp = inst.product
+    tot = bp.total
+    qd = inst.quotient
+    ell = inst.action.group.order
+    n1 = tot.dim(1)
+    u_dim = bp.cell_dim(1, 0)
+    base_code = kernel_basis(inst.base_tanner.complex.differential(1)).basis
+    maps = _canonical_maps(inst)
+    u_keys = maps[(1, 0)]
+    fiber_sum = F2Matrix.from_entries(
+        qd.base.n_edges, n1, (u_keys // ell, np.arange(len(u_keys), dtype=np.int64))
+    )
+    iota = base_code.matmul(fiber_sum)
+
+    c = inst.tanner.checks_per_vertex
+    check_keys = maps.get((0, 1), np.zeros(0, dtype=np.int64))
+    v_candidates = F2Matrix.from_entries(
+        qd.base.n * c, n1, (check_keys // ell, u_dim + np.arange(len(check_keys)))
+    ).row_ints()
+    boundary_rows = tot.differential(2).transpose().iter_row_ints()
+    span = IncrementalSpan(itertools.chain(boundary_rows, iota.iter_row_ints()))
+    v_rows = [cand for cand in v_candidates if span.add(cand)]
+    return F2Matrix.from_rows(v_rows, n1), iota.rows
+
+
+def _assert_split_matches_full_size(inst):
+    split = homology_split(inst)
+    v_reps, dim_h = _full_size_v_reps(inst)
+    assert split.v_reps == v_reps
+    assert (split.dim_h, split.dim_v) == (dim_h, v_reps.rows)
+    assert split.dim_h + split.dim_v == inst.product.total.homology_dim(1)
+
+
+def test_vertical_choice_on_base_matches_full_size_toy(toy):
+    _assert_split_matches_full_size(toy)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 5, 7, 9]), st.integers(3, 6), st.sampled_from(["rep:2", "full:2"]))
+def test_vertical_choice_on_base_matches_full_size_cycles(ell, m, local):
+    tanner, action, _ = build_instance(Recipe(graph=f"cycle:{ell * m}", ell=ell, local=local))
+    _assert_split_matches_full_size(circle_balanced_product(tanner, action))
+
+
+@pytest.mark.parametrize("q", [7, 13])
+@pytest.mark.parametrize("seed", range(4))
+def test_vertical_choice_on_base_matches_full_size_lps(q, seed):
+    tanner, action, _ = build_instance(Recipe(p=5, q=q, local=f"gv:6,0.1,{seed}"))
+    _assert_split_matches_full_size(circle_balanced_product(tanner, action))
 
 
 def test_cycle_complex_with_action():
