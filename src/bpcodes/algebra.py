@@ -88,12 +88,6 @@ class ProjMat2:
     def inv(self) -> "ProjMat2":
         return ProjMat2.make(self.q, self.d, -self.b, -self.c, self.a)
 
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.q
-
-    def det_is_square(self) -> bool:
-        return legendre(self.det(), self.q) == 1
-
 
 CAYLEY_TABLE_CAP = 400  # largest group given a full multiplication table
 
@@ -112,15 +106,15 @@ def index_table(rows, shape: tuple[int, int]) -> np.ndarray | None:
 
 
 class FiniteGroup:
-    """A finite group held as an indexed element list.
+    """A finite group on the element indices 0..order-1.
 
     ``mul_indices`` multiplies element indices given as broadcastable int
-    arrays. This base class reads the products from a Cayley table built
-    once from ``mul_fn``, which needs the order at most CAYLEY_TABLE_CAP;
-    building it checks closure. Subclasses compute products from index
-    arithmetic instead. Identity, inverses and (up to CAYLEY_TABLE_CAP)
-    closure are derived from ``mul_indices``; the scalar ``mul`` goes
-    through the element objects.
+    arrays; it is the only product. This base class holds an element list
+    and reads the products from a Cayley table filled once from ``mul_fn``,
+    which needs the order at most CAYLEY_TABLE_CAP; filling it checks
+    closure. Subclasses compute products from index arithmetic instead.
+    Identity, inverses and (up to CAYLEY_TABLE_CAP) closure are derived
+    from ``mul_indices``.
     """
 
     def __init__(self, elements, mul_fn, name: str = ""):
@@ -128,33 +122,40 @@ class FiniteGroup:
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise InvalidModulus("duplicate group elements")
-        self._mul_fn = mul_fn
+        n = len(self.elements)
+        if n > CAYLEY_TABLE_CAP:
+            raise CapExceeded(f"order {n} exceeds the Cayley table cap {CAYLEY_TABLE_CAP}")
+        table = np.array(
+            [[self.index.get(mul_fn(e, f), -1) for f in self.elements] for e in self.elements],
+            dtype=np.int64,
+        ).reshape(n, n)
+        if (table < 0).any():
+            i, j = divmod(int(np.argmax(table < 0)), n)
+            e, f = self.elements[i], self.elements[j]
+            raise InvalidModulus(f"product {e} * {f} leaves the element list")
+        self._table = table
+        self._derive(name, n)
+
+    def _derive(self, name: str, order: int) -> None:
+        """Name and order, then identity, inverses and closure from the products."""
         self.name = name
-        self.order = len(self.elements)
-        self._prepare()
-        every = np.arange(self.order)
+        self.order = order
+        every = np.arange(order)
         self.identity = self._find_identity(every)
         self._inv = self._build_inverses(every)
-        if self.order <= CAYLEY_TABLE_CAP:
-            self.mul_indices(every[:, None], every)  # raises if a product leaves the list
-
-    def _prepare(self) -> None:
-        if self.order > CAYLEY_TABLE_CAP:
-            raise CapExceeded(
-                f"order {self.order} exceeds the Cayley table cap {CAYLEY_TABLE_CAP}"
-            )
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        for i, e in enumerate(self.elements):
-            for j, f in enumerate(self.elements):
-                k = self.index.get(self._mul_fn(e, f))
-                if k is None:
-                    raise InvalidModulus(f"product {e} * {f} leaves the element list")
-                table[i, j] = k
-        self._table = table
+        if order <= CAYLEY_TABLE_CAP:
+            self.mul_indices(every[:, None], every)  # raises if a product leaves the group
 
     def mul_indices(self, a, b) -> np.ndarray:
         """Products of element indices, broadcast over int arrays a and b."""
         return self._table[a, b]
+
+    def indices_of(self, elements) -> np.ndarray:
+        """Indices of a subgroup's elements, or of a list of elements, in
+        this group; -1 where one is absent."""
+        if isinstance(elements, FiniteGroup):
+            elements = elements.elements
+        return np.array([self.index.get(e, -1) for e in elements], dtype=np.int64)
 
     def _inverse_candidates(self, every: np.ndarray) -> np.ndarray:
         """A candidate inverse index of every element, checked afterwards."""
@@ -168,26 +169,23 @@ class FiniteGroup:
             raise InvalidModulus("no identity element found")
         return int(np.argmax(hits))
 
-    def _build_inverses(self, every: np.ndarray) -> list[int]:
+    def _build_inverses(self, every: np.ndarray) -> np.ndarray:
         inv = self._inverse_candidates(every)
         bad = np.flatnonzero(self.mul_indices(every, inv) != self.identity)
         if len(bad):
             raise InvalidModulus(f"element {self.elements[bad[0]]} has no inverse in the list")
-        return inv.tolist()
+        inv.flags.writeable = False
+        return inv
 
     def mul(self, i: int, j: int) -> int:
-        prod = self._mul_fn(self.elements[i], self.elements[j])
-        k = self.index.get(prod)
-        if k is None:
-            raise InvalidModulus("product leaves the group")
-        return k
+        return int(self.mul_indices(i, j))
 
     def inv(self, i: int) -> int:
-        return self._inv[i]
+        return int(self._inv[i])
 
     def inverses(self) -> np.ndarray:
-        """Inverse indices of all elements, as an int array."""
-        return np.asarray(self._inv, dtype=np.int64)
+        """Inverse indices of all elements, as a read-only int array."""
+        return self._inv
 
     def is_action_table(self, perms) -> bool:
         """Whether perms (order x n, row h the image of every point under
@@ -224,37 +222,35 @@ class FiniteGroup:
             for a in range(self.order)
         )
 
-    def element_order(self, i: int) -> int:
-        k, acc = 1, i
-        while acc != self.identity:
-            acc = self.mul(acc, i)
-            k += 1
-            if k > self.order:
-                raise InvalidModulus("element order exceeds group order")
-        return k
+    def element_orders(self) -> np.ndarray:
+        """The order of every element: the first k with g^k the identity,
+        read off the powers of all elements at once."""
+        every = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        acc = every
+        for k in range(1, self.order + 1):
+            orders[(acc == self.identity) & (orders == 0)] = k
+            if orders.all():
+                break
+            acc = self.mul_indices(acc, every)
+        return orders
 
-    def subgroup_indices(self, generators: list[int]) -> list[int]:
-        """Closure of the generators, as sorted element indices."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(generators) + [self.inv(g) for g in generators]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
+    def powers(self, g: int) -> np.ndarray:
+        """g^0, g^1, ..., g^(k-1) for the order k of g, doubling the known
+        powers until the identity comes round again."""
+        p = np.array([self.identity, g], dtype=np.int64)
+        while not (p[1:] == self.identity).any():
+            p = np.concatenate([p, self.mul_indices(p, self.mul_indices(p[-1], g))])
+        return p[: int(np.argmax(p[1:] == self.identity)) + 1]
 
 
 class _CyclicGroup(FiniteGroup):
     """Z_n on the indices 0..n-1: products are (i + j) mod n."""
 
-    def _prepare(self) -> None:
-        pass
+    def __init__(self, n: int):
+        self.elements = list(range(n))
+        self.index = dict(zip(self.elements, self.elements))
+        self._derive(f"Z_{n}", n)
 
     def mul_indices(self, a, b) -> np.ndarray:
         return (np.asarray(a, dtype=np.int64) + b) % self.order
@@ -265,28 +261,30 @@ class _CyclicGroup(FiniteGroup):
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with elements 0..n-1 under addition mod n."""
-    return _CyclicGroup(range(n), lambda a, b: (a + b) % n, name=f"Z_{n}")
+    return _CyclicGroup(n)
 
 
 class _ProjectiveGroup(FiniteGroup):
-    """A group of ProjMat2 elements over F_q. Products multiply the
-    (order, 4) entry array mod q, scale by the inverse of the leading entry
-    and look the index up by sorted code."""
+    """A group of projective 2x2 matrices over F_q, held as the read-only
+    (order, 4) array ``entries`` of their normalized entries (a, b, c, d).
+    Products multiply entries mod q, scale by the inverse of the leading
+    entry and look the index up by sorted code."""
 
-    def __init__(self, q: int, elements, name: str):
+    def __init__(self, q: int, entries, name: str):
         self.q = q
-        super().__init__(elements, lambda x, y: x.mul(y), name)
-
-    def _prepare(self) -> None:
-        q = self.q
-        entries = np.array(
-            [(e.a, e.b, e.c, e.d) for e in self.elements], dtype=np.int64
-        ).reshape(-1, 4)
-        self._entries = entries.T.copy()  # row r holds entry r of every element
+        self._entries = np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy()
+        self._entries.flags.writeable = False  # row r holds entry r of every element
         codes = self._codes(self._entries)
         self._by_code = np.argsort(codes)
         self._sorted_codes = codes[self._by_code]
+        if (np.diff(self._sorted_codes) == 0).any():
+            raise InvalidModulus("duplicate group elements")
         self._inv_mod = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+        self._derive(name, len(codes))
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._entries.T
 
     def _codes(self, m) -> np.ndarray:
         q = self.q
@@ -294,16 +292,20 @@ class _ProjectiveGroup(FiniteGroup):
 
     def _lookup(self, m) -> np.ndarray:
         """Indices of the matrices m (entries first), normalized so the
-        first nonzero entry is 1; raises when one is not an element."""
+        first nonzero entry is 1; -1 where one is not an element."""
         q = self.q
         # det != 0 keeps (a, b) nonzero, so the leading entry is a or b
         lead = np.where(m[0] != 0, m[0], m[1])
         codes = self._codes(m * self._inv_mod[lead] % q)
-        pos = np.searchsorted(self._sorted_codes, codes)
-        pos = np.minimum(pos, self.order - 1)
-        if not np.array_equal(self._sorted_codes[pos], codes):
+        pos = np.minimum(np.searchsorted(self._sorted_codes, codes), self.order - 1)
+        return np.where(self._sorted_codes[pos] == codes, self._by_code[pos], -1)
+
+    def _elements_at(self, m) -> np.ndarray:
+        """_lookup, raising when a matrix is not an element."""
+        found = self._lookup(m)
+        if (found < 0).any():
             raise InvalidModulus("product leaves the group")
-        return self._by_code[pos]
+        return found
 
     def mul_indices(self, a, b) -> np.ndarray:
         x, y = self._entries[:, a], self._entries[:, b]
@@ -314,27 +316,38 @@ class _ProjectiveGroup(FiniteGroup):
             (x[2] * y[0] + x[3] * y[2]) % q,
             (x[2] * y[1] + x[3] * y[3]) % q,
         ])
+        return self._elements_at(m)
+
+    def indices_of(self, elements) -> np.ndarray:
+        """Indices of a projective subgroup's elements, or of a list of
+        ProjMat2 over the same field; -1 where one is absent."""
+        if isinstance(elements, _ProjectiveGroup):
+            m = elements._entries
+        else:
+            m = np.array([(e.a, e.b, e.c, e.d) for e in elements], dtype=np.int64).reshape(-1, 4).T
         return self._lookup(m)
 
     def _inverse_candidates(self, every: np.ndarray) -> np.ndarray:
         a, b, c, d = self._entries
-        return self._lookup(np.stack([d, -b % self.q, -c % self.q, a]))
+        return self._elements_at(np.stack([d, -b % self.q, -c % self.q, a]))
+
+    def square_determinants(self) -> np.ndarray:
+        """Whether the determinant of each element is a square mod q; the
+        class is the same for every scalar multiple of a matrix."""
+        a, b, c, d = self._entries
+        squares = np.zeros(self.q, dtype=bool)
+        squares[np.arange(1, self.q) ** 2 % self.q] = True
+        return squares[(a * d - b * c) % self.q]
 
 
-def _pgl2_elements(q: int) -> list[ProjMat2]:
-    elems: list[ProjMat2] = []
-    # canonical forms: first nonzero of (a,b,c,d) equals 1
-    for b in range(q):
-        for c in range(q):
-            for d in range(q):
-                if (d - b * c) % q != 0:
-                    elems.append(ProjMat2(q, 1, b, c, d))
-    for c in range(q):
-        for d in range(q):
-            if c != 0:  # det = -c must be nonzero
-                elems.append(ProjMat2(q, 0, 1, c, d))
-    # a = b = 0: det = 0 always; no elements
-    return elems
+def _pgl2_entries(q: int) -> np.ndarray:
+    """The canonical forms of PGL(2,q), first nonzero of (a, b, c, d) equal
+    to 1: (1, b, c, d) with d != bc in (b, c, d) order, then (0, 1, c, d)
+    with c != 0 in (c, d) order (a = b = 0 is always singular)."""
+    b, c, d = np.indices((q, q, q)).reshape(3, -1)
+    ones = np.stack([np.ones_like(b), b, c, d], axis=1)[(d - b * c) % q != 0]
+    c, d = np.indices((q - 1, q)).reshape(2, -1)
+    return np.concatenate([ones, np.stack([np.zeros_like(c), np.ones_like(c), c + 1, d], axis=1)])
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +357,7 @@ def build_pgl2(q: int) -> FiniteGroup:
         raise InvalidModulus(f"{q} is not an odd prime")
     if q > PGL_ORDER_CAP:
         raise CapExceeded(f"q={q} exceeds the enumeration cap {PGL_ORDER_CAP}")
-    g = _ProjectiveGroup(q, _pgl2_elements(q), name=f"PGL(2,{q})")
+    g = _ProjectiveGroup(q, _pgl2_entries(q), name=f"PGL(2,{q})")
     if g.order != q * (q * q - 1):
         raise InvalidModulus("PGL enumeration produced a wrong order")
     return g
@@ -354,8 +367,7 @@ def build_pgl2(q: int) -> FiniteGroup:
 def build_psl2(q: int) -> FiniteGroup:
     """PSL(2,q) as the square-determinant-class subgroup of PGL(2,q)."""
     pgl = build_pgl2(q)
-    elems = [e for e in pgl.elements if e.det_is_square()]
-    g = _ProjectiveGroup(q, elems, name=f"PSL(2,{q})")
+    g = _ProjectiveGroup(q, pgl.entries[pgl.square_determinants()], name=f"PSL(2,{q})")
     if g.order != q * (q * q - 1) // 2:
         raise InvalidModulus("PSL enumeration produced a wrong order")
     return g
@@ -363,14 +375,14 @@ def build_psl2(q: int) -> FiniteGroup:
 
 def unipotent_subgroup(g: FiniteGroup) -> FiniteGroup:
     """The cyclic subgroup {[[1,x],[0,1]]} of PGL(2,q); order exactly q."""
-    if not g.elements or not isinstance(g.elements[0], ProjMat2):
+    if not isinstance(g, _ProjectiveGroup):
         raise NotPGL("group elements are not projective matrices")
-    q = g.elements[0].q
-    elems = [ProjMat2(q, 1, x, 0, 1) for x in range(q)]
-    for e in elems:
-        if e not in g.index:
-            raise NotPGL("unipotent elements are not all present in the group")
-    sub = _ProjectiveGroup(q, elems, name=f"U({q})")
+    q = g.q
+    x = np.arange(q)
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    sub = _ProjectiveGroup(q, np.stack([one, x, zero, one], axis=1), name=f"U({q})")
+    if (g.indices_of(sub) < 0).any():
+        raise NotPGL("unipotent elements are not all present in the group")
     if sub.order != q:
         raise NotPGL("unipotent subgroup has unexpected order")
     return sub

@@ -496,16 +496,22 @@ def local_code_from_spec(spec: str) -> LinearCode:
     head, _, arg = spec.partition(":")
     if head == "hamming7":
         return hamming_7_4()
-    if head == "rep":
-        return repetition_code(*_spec_numbers(spec, arg, (int,), 1))
-    if head == "full":
-        return full_space_code(*_spec_numbers(spec, arg, (int,), 1))
+    if head in ("rep", "full"):
+        (n,) = _spec_numbers(spec, arg, (int,), 1)
+        if n < 1:
+            raise _malformed(spec)
+        return repetition_code(n) if head == "rep" else full_space_code(n)
     if head == "bch":
         return bch_code(*_spec_numbers(spec, arg, (int, int), 2))
     if head == "goppa":
-        return random_separable_goppa(*_spec_numbers(spec, arg, (int, int, int), 2))
+        m, t, seed = _spec_numbers(spec, arg, (int, int, int), 2)
+        if not (0 < t and t.bit_length() <= m and seed >= 0):  # t < 2^m roots leave a locator
+            raise _malformed(spec)
+        return random_separable_goppa(m, t, seed)
     if head == "gv":
         s, delta, seed = _spec_numbers(spec, arg, (int, float, int), 2)
+        if s < 1 or seed < 0:
+            raise _malformed(spec)
         return gv_plus_search(s, delta, seed=seed).code
     raise DomainError(f"unknown local code spec {spec!r}")
 
@@ -521,7 +527,12 @@ def _spec_numbers(spec: str, arg: str, types: tuple, required: int) -> list:
             return values + [0] * (len(types) - len(values))
         except ValueError:
             pass
-    raise DomainError(f"malformed local code spec {spec!r}")
+    raise _malformed(spec)
+
+
+def _malformed(spec: str) -> DomainError:
+    """The error of a spec with malformed or out-of-range numbers."""
+    return DomainError(f"malformed local code spec {spec!r}")
 
 
 def random_separable_goppa(m: int, t: int, seed: int = 0) -> LinearCode:

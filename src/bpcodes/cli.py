@@ -119,15 +119,18 @@ def _cmd_spectrum(args) -> int:
         lps_graph,
         second_eigenvalue,
     )
+    from .pipeline import check_lps_primes
 
     print("graph,n,s,lambda2,ramanujan_bound")
     for spec in args.graph:
         if spec.startswith("lps:"):
-            g, _, _ = lps_graph(*_spec_ints(spec, 2))
+            p, q = _spec_ints(spec, 2)
+            check_lps_primes(p, q)  # PSL pairs, which builds reject, have a spectrum too
+            g, _, _ = lps_graph(p, q)
         elif spec.startswith("cycle:"):
-            g = cycle_labeled_graph(*_spec_ints(spec, 1))
+            g = cycle_labeled_graph(_spec_size(spec))
         elif spec.startswith("complete:"):
-            g = complete_graph(*_spec_ints(spec, 1))
+            g = complete_graph(_spec_size(spec))
         elif spec == "klein":
             g, _, _, _ = klein_quartic_graph()
         else:
@@ -147,6 +150,15 @@ def _spec_ints(spec: str, count: int) -> list[int]:
     if len(values) != count:
         raise RecipeInvalid(f"malformed graph spec {spec!r}")
     return values
+
+
+def _spec_size(spec: str) -> int:
+    """The vertex count of a cycle: or complete: spec; a second eigenvalue
+    needs at least 3 vertices."""
+    (n,) = _spec_ints(spec, 1)
+    if n < 3:
+        raise RecipeInvalid(f"graph spec {spec!r} needs at least 3 vertices")
+    return n
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .algebra import FiniteGroup, ProjMat2, index_table, is_prime, legendre
+from .algebra import FiniteGroup, ProjMat2, _ProjectiveGroup, index_table, is_prime, legendre
 from .errors import (
     Disconnected,
     DomainError,
@@ -36,58 +36,57 @@ from .errors import (
 class LabeledGraph:
     """Simple s-regular graph with an edge labeling around each vertex.
 
-    edges[e] = (u, v) with u < v; labels[e] = (label at u, label at v).
+    edges[e] = (u, v) with u < v and labels[e] = (label at u, label at v),
+    as read-only (n_edges, 2) int arrays; edge_at[v, l] is the edge with
+    label l at v, as a read-only (n, s) int array.
     """
 
     def __init__(self, n_vertices: int, edges, labels, degree: int):
         self.n = n_vertices
-        self.edges = [tuple(e) for e in edges]
-        self.labels = [tuple(l) for l in labels]
         self.s = degree
+        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        self.labels = np.array(labels, dtype=np.int64).reshape(-1, 2)
         self._validate()
-        # incidence lookups
-        self.incident: list[list[int]] = [[] for _ in range(self.n)]
-        for e, (u, v) in enumerate(self.edges):
-            self.incident[u].append(e)
-            self.incident[v].append(e)
-        # edge_at[v][label] = edge index
-        self.edge_at: list[list[int]] = [[-1] * self.s for _ in range(self.n)]
-        for e, (u, v) in enumerate(self.edges):
-            lu, lv = self.labels[e]
-            self.edge_at[u][lu] = e
-            self.edge_at[v][lv] = e
-        # the same edges and labels as (n_edges, 2) int arrays, and the edge
-        # codes u * n + v in sorted order for vectorised lookups
-        self.edge_array = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.label_array = np.array(self.labels, dtype=np.int64).reshape(-1, 2)
-        codes = self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
+        self.edge_at = np.full((self.n, self.s), -1, dtype=np.int64)
+        self.edge_at[self.edges, self.labels] = np.arange(self.n_edges)[:, None]
+        for table in (self.edges, self.labels, self.edge_at):
+            table.flags.writeable = False
+        # the edge codes u * n + v in sorted order, for vectorised lookups
+        codes = self.edges[:, 0] * self.n + self.edges[:, 1]
         self._by_code = np.argsort(codes)
         self._sorted_codes = codes[self._by_code]
 
     def _validate(self) -> None:
+        """Raise on the first faulty edge in index order, with the checks of
+        each edge in the order: self-loop, endpoints in order and range,
+        parallel to an earlier edge, then the label at u and the label at v,
+        each in range and not used before at its vertex; regularity last."""
         if len(self.labels) != len(self.edges):
             raise NotSimpleGraph("labels and edges differ in length")
-        seen = set()
-        deg = [0] * self.n
-        per_vertex_labels: list[set[int]] = [set() for _ in range(self.n)]
-        for e, (u, v) in enumerate(self.edges):
-            if u == v:
-                raise SelfLoop(f"edge {e} is a self-loop at {u}")
-            if not (0 <= u < v < self.n):
+        if self.s < 0:
+            raise NotSimpleGraph(f"negative degree {self.s}")
+        u, v = self.edges.T
+        ends, labs = self.edges.ravel(), self.labels.ravel()  # u then v of each edge
+        faults = np.column_stack([
+            u == v,
+            (u < 0) | (u >= v) | (v >= self.n),
+            _repeats(u * self.n + v),
+            ((labs < 0) | (labs >= self.s)).reshape(-1, 2),
+            _repeats(ends * self.s + labs).reshape(-1, 2),
+        ])[:, [0, 1, 2, 3, 5, 4, 6]]  # per side: range, then repeat
+        if faults.any():
+            e, check = divmod(int(np.argmax(faults)), faults.shape[1])
+            if check == 0:
+                raise SelfLoop(f"edge {e} is a self-loop at {u[e]}")
+            if check == 1:
                 raise NotSimpleGraph(f"edge {e} endpoints out of order or range")
-            if (u, v) in seen:
-                raise NotSimpleGraph(f"parallel edge {u}-{v}")
-            seen.add((u, v))
-            deg[u] += 1
-            deg[v] += 1
-            lu, lv = self.labels[e]
-            for w, l in ((u, lu), (v, lv)):
-                if not (0 <= l < self.s):
-                    raise NotSimpleGraph(f"label {l} outside [0,{self.s}) at vertex {w}")
-                if l in per_vertex_labels[w]:
-                    raise NotSimpleGraph(f"label {l} repeated at vertex {w}")
-                per_vertex_labels[w].add(l)
-        if any(d != self.s for d in deg):
+            if check == 2:
+                raise NotSimpleGraph(f"parallel edge {u[e]}-{v[e]}")
+            w, l = self.edges[e, (check - 3) // 2], self.labels[e, (check - 3) // 2]
+            if check % 2:
+                raise NotSimpleGraph(f"label {l} outside [0,{self.s}) at vertex {w}")
+            raise NotSimpleGraph(f"label {l} repeated at vertex {w}")
+        if (np.bincount(ends, minlength=self.n) != self.s).any():
             raise NotSimpleGraph("graph is not regular of the declared degree")
 
     @property
@@ -104,42 +103,35 @@ class LabeledGraph:
         pos = np.minimum(np.searchsorted(self._sorted_codes, codes), self.n_edges - 1)
         return np.where(self._sorted_codes[pos] == codes, self._by_code[pos], -1)
 
-    def label_at(self, v: int, e: int) -> int:
-        u, w = self.edges[e]
-        if v == u:
-            return self.labels[e][0]
-        if v == w:
-            return self.labels[e][1]
-        raise NotSimpleGraph(f"vertex {v} not on edge {e}")
-
-    def other_endpoint(self, v: int, e: int) -> int:
-        u, w = self.edges[e]
-        return w if v == u else u
-
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        u, v = self.edge_array.T
+        u, v = self.edges.T
         a[u, v] = 1.0
         a[v, u] = 1.0
         return a
 
     def adjacency_sparse(self) -> scipy.sparse.csr_matrix:
-        u, v = self.edge_array.T
+        u, v = self.edges.T
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         data = np.ones(len(rows))
         return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in self.incident[v]:
-                w = self.other_endpoint(v, e)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        """Breadth-first from vertex 0, one frontier of vertices at a time."""
+        seen = np.zeros(self.n, dtype=bool)
+        frontier = np.arange(min(self.n, 1))
+        while len(frontier):
+            seen[frontier] = True
+            reached = np.unique(self.edges[self.edge_at[frontier]])
+            frontier = reached[~seen[reached]]
+        return bool(self.n) and bool(seen.all())
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurred at an earlier position."""
+    seen = np.ones(len(keys), dtype=bool)
+    seen[np.unique(keys, return_index=True)[1]] = False
+    return seen
 
 
 # -- Cayley graphs ------------------------------------------------------
@@ -182,12 +174,7 @@ def cayley_graph(group: FiniteGroup, gens: list[int]) -> LabeledGraph:
     labels[slot] = np.tile(np.arange(len(gens)), group.order)
     ordered = uniq[order]
     edges = np.stack([ordered // group.order, ordered % group.order], axis=1)
-    return LabeledGraph(
-        group.order,
-        [tuple(e) for e in edges.tolist()],
-        [tuple(l) for l in labels.reshape(-1, 2).tolist()],
-        len(gens),
-    )
+    return LabeledGraph(group.order, edges, labels.reshape(-1, 2), len(gens))
 
 
 # -- LPS generator sets ---------------------------------------------------
@@ -282,7 +269,7 @@ def lps_graph(p: int, q: int) -> tuple[LabeledGraph, FiniteGroup, list[int]]:
 
     mats = lps_generators(p, q)
     group = build_psl2(q) if legendre(p, q) == 1 else build_pgl2(q)
-    gens = [group.index[m] for m in mats]
+    gens = group.indices_of(mats).tolist()
     graph = cayley_graph(group, gens)
     return graph, group, gens
 
@@ -380,6 +367,7 @@ def brute_force_expansion_check(
     """
     lam2 = second_eigenvalue(x)
     s = x.s
+    edges = x.edges.tolist()
     checked = violations = 0
     tightest = math.inf
 
@@ -390,7 +378,7 @@ def brute_force_expansion_check(
                 break
             for sub in itertools.combinations(range(n), size):
                 bound = cheeger_lower_bound(s, lam2, size / n)
-                cut = _cut_size(x, set(sub))
+                cut = _cut_size(edges, set(sub))
                 checked += 1
                 ratio = (cut / size) / bound if bound > 0 else math.inf
                 tightest = min(tightest, ratio)
@@ -405,7 +393,7 @@ def brute_force_expansion_check(
             for sub in itertools.combinations(range(ne), size):
                 touched = set()
                 for e in sub:
-                    touched.update(x.edges[e])
+                    touched.update(edges[e])
                 checked += 1
                 ratio = len(touched) / (beta * size) if beta > 0 else math.inf
                 tightest = min(tightest, ratio)
@@ -415,6 +403,8 @@ def brute_force_expansion_check(
         if b is None:
             b = s
         n = x.n
+        ends = x.edges[x.edge_at]  # [v, l]: the edge with label l at v
+        nbrs = np.where(ends[..., 0] == np.arange(n)[:, None], ends[..., 1], ends[..., 0]).tolist()
         for size in range(1, min(max_subset, n) + 1):
             if size > alpha * n:
                 break
@@ -423,9 +413,7 @@ def brute_force_expansion_check(
                 subset = set(sub)
                 a_count = 0
                 for v in subset:
-                    boundary_here = sum(
-                        1 for e in x.incident[v] if x.other_endpoint(v, e) not in subset
-                    )
+                    boundary_here = sum(1 for w in nbrs[v] if w not in subset)
                     if boundary_here >= s - b:
                         a_count += 1
                 checked += 1
@@ -440,7 +428,7 @@ def brute_force_expansion_check(
             cap = alon_chung_edge_fraction(s, lam2, gamma) * x.n_edges
             for sub in itertools.combinations(range(n), size):
                 subset = set(sub)
-                inner = sum(1 for u, v in x.edges if u in subset and v in subset)
+                inner = sum(1 for u, v in edges if u in subset and v in subset)
                 checked += 1
                 ratio = cap / inner if inner > 0 else math.inf
                 tightest = min(tightest, ratio)
@@ -452,8 +440,8 @@ def brute_force_expansion_check(
     return ExpansionCheckReport(lemma, checked, violations, tightest)
 
 
-def _cut_size(x: LabeledGraph, subset: set[int]) -> int:
-    return sum(1 for u, v in x.edges if (u in subset) != (v in subset))
+def _cut_size(edges: list[list[int]], subset: set[int]) -> int:
+    return sum(1 for u, v in edges if (u in subset) != (v in subset))
 
 
 # -- group actions on graphs ----------------------------------------------
@@ -490,7 +478,7 @@ class GraphAction:
         others = (np.arange(g.order) != g.identity)[:, None]
         vfix = ((vp == np.arange(x.n)) & others).any(axis=1)
         efix = ((ep == np.arange(x.n_edges)) & others).any(axis=1)
-        ends, labs = x.edge_array, x.label_array
+        ends, labs = x.edges, x.labels
         iu, iv = vp[:, ends[:, 0]], vp[:, ends[:, 1]]
         image, image_labs = ends[ep], labs[ep]
         moved = (image[..., 0] != np.minimum(iu, iv)) | (image[..., 1] != np.maximum(iu, iv))
@@ -516,7 +504,7 @@ class GraphAction:
 def _edge_images(graph: LabeledGraph, vperms: np.ndarray) -> np.ndarray:
     """Edge permutations induced by vertex permutations (-1 where the
     image of an edge is not an edge)."""
-    ends = graph.edge_array
+    ends = graph.edges
     return graph.edge_ids(vperms[:, ends[:, 0]], vperms[:, ends[:, 1]])
 
 
@@ -528,7 +516,7 @@ def cayley_right_action(
     The Cayley graph must have been built by cayley_graph(group, gens) so
     vertex v is the group element of index v.
     """
-    h = np.array([group.index.get(e, -1) for e in sub.elements], dtype=np.int64)
+    h = group.indices_of(sub)
     if (h < 0).any():
         raise NotFree("subgroup element missing from the ambient group")
     vperms = group.mul_indices(np.arange(group.order), h[:, None])
@@ -611,13 +599,12 @@ def quotient_graph(action: GraphAction) -> QuotientData:
     e_orbit_of_old, e_min, _ = _orbit_tables(x.n_edges, h, action.edge_perms)
 
     # per edge orbit, numbered by smallest member: its base pair
-    ends = x.edge_array[e_min]
+    ends = x.edges[e_min]
     ou, ov = orbit_of[ends[:, 0]], orbit_of[ends[:, 1]]
     src, dst = np.minimum(ou, ov), np.maximum(ou, ov)
     codes = src * len(rep) + dst
     loop = ou == ov
-    repeated = np.ones(len(codes), dtype=bool)
-    repeated[np.unique(codes, return_index=True)[1]] = False
+    repeated = _repeats(codes)
     if (loop | repeated).any():
         if loop[np.argmax(loop | repeated)]:
             raise QuotientConditionViolated("edge orbit collapses to a loop")
@@ -627,7 +614,7 @@ def quotient_graph(action: GraphAction) -> QuotientData:
     src_end = np.where(ou == src, ends[:, 0], ends[:, 1])
     lift = action.edge_perms[h.inverses()[shift[src_end]], e_min]
     src_rep = rep[src]
-    lift_ends, lift_labs = x.edge_array[lift], x.label_array[lift]
+    lift_ends, lift_labs = x.edges[lift], x.labels[lift]
     first = lift_ends[:, 0] == src_rep
     if not (first | (lift_ends[:, 1] == src_rep)).all():
         raise QuotientConditionViolated("no orbit member passes the source rep")
@@ -638,12 +625,7 @@ def quotient_graph(action: GraphAction) -> QuotientData:
     renum = np.empty(len(order), dtype=np.int64)
     renum[order] = np.arange(len(order))
     edge_rep = lift[order]
-    base = LabeledGraph(
-        len(rep),
-        list(zip(src[order].tolist(), dst[order].tolist())),
-        [tuple(l) for l in base_labels[order].tolist()],
-        x.s,
-    )
+    base = LabeledGraph(len(rep), np.stack([src, dst], axis=1)[order], base_labels[order], x.s)
     conn = Connection(base, h, tuple(shift[far][order].tolist()))
 
     edge_shift = np.full(x.n_edges, -1, dtype=np.int64)
@@ -684,48 +666,32 @@ def _orbit_tables(n: int, h: FiniteGroup, perms) -> tuple[np.ndarray, np.ndarray
 
 def reconstruct_from_quotient(qd: QuotientData) -> LabeledGraph:
     """Rebuild the covering graph from (base, connection); vertices are
-    (base vertex, group element) pairs ordered base-major."""
-    base, conn = qd.base, qd.connection
-    h = conn.group
-    n = base.n * h.order
-
-    def vid(bv: int, k: int) -> int:
-        return bv * h.order + k
-
-    edges, labels = [], []
-    for e, (u, v) in enumerate(base.edges):
-        lu, lv = base.labels[e]
-        phi = conn.values[e]
-        for k in range(h.order):
-            a = vid(u, k)
-            b = vid(v, h.mul(phi, k))
-            lo, hi = (a, b) if a < b else (b, a)
-            if a < b:
-                labels.append((lu, lv))
-            else:
-                labels.append((lv, lu))
-            edges.append((lo, hi))
-    return LabeledGraph(n, edges, labels, base.s)
+    (base vertex, group element) pairs ordered base-major, edges base-edge
+    major with the group element inner."""
+    base, h = qd.base, qd.connection.group
+    k = np.arange(h.order)
+    a = base.edges[:, :1] * h.order + k
+    b = base.edges[:, 1:] * h.order + h.mul_indices(np.asarray(qd.connection.values)[:, None], k)
+    swap = (a > b)[..., None]
+    labels = np.where(swap, base.labels[:, None, ::-1], base.labels[:, None, :])
+    edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1)
+    return LabeledGraph(base.n * h.order, edges.reshape(-1, 2), labels.reshape(-1, 2), base.s)
 
 
 def graphs_isomorphic_by_map(a: LabeledGraph, b: LabeledGraph, vmap) -> bool:
     """Check that the explicit vertex map vmap carries a onto b with labels."""
     if a.n != b.n or a.n_edges != b.n_edges or a.s != b.s:
         return False
-    b_edges = {}
-    for e, (u, v) in enumerate(b.edges):
-        b_edges[(u, v)] = e
-    for e, (u, v) in enumerate(a.edges):
-        iu, iv = vmap[u], vmap[v]
-        key = (min(iu, iv), max(iu, iv))
-        if key not in b_edges:
-            return False
-        eb = b_edges[key]
-        if b.label_at(iu, eb) != a.label_at(u, e):
-            return False
-        if b.label_at(iv, eb) != a.label_at(v, e):
-            return False
-    return True
+    vmap = np.asarray(vmap, dtype=np.int64)
+    if len(vmap) and (vmap.min() < 0 or vmap.max() >= b.n):
+        return False
+    iu, iv = vmap[a.edges[:, 0]], vmap[a.edges[:, 1]]
+    eb = b.edge_ids(iu, iv)
+    if (eb < 0).any():
+        return False
+    at_iu = np.where(b.edges[eb, 0] == iu, b.labels[eb, 0], b.labels[eb, 1])
+    at_iv = np.where(b.edges[eb, 0] == iv, b.labels[eb, 0], b.labels[eb, 1])
+    return bool((at_iu == a.labels[:, 0]).all() and (at_iv == a.labels[:, 1]).all())
 
 
 # -- quotient condition ----------------------------------------------------
@@ -747,8 +713,10 @@ def check_quotient_condition(
     """Exhaustively test that no conjugate of the subgroup meets the
     generator set; cross-checks the determinant-class argument when the
     elements are projective matrices."""
-    sub_in_g = [group.index[e] for e in sub.elements]
-    hs = np.array([h for h in sub_in_g if h != group.identity], dtype=np.int64)
+    sub_in_g = group.indices_of(sub)
+    if (sub_in_g < 0).any():
+        raise NotFree("subgroup element missing from the ambient group")
+    hs = sub_in_g[sub_in_g != group.identity]
     inverses = group.inverses()
     witness = None
     # every g h g^-1, a block of g at a time; the first hit in g-major,
@@ -764,13 +732,11 @@ def check_quotient_condition(
             break
 
     shortcut = None
-    if witness is None and isinstance(group.elements[0], ProjMat2):
-        q = group.elements[0].q
+    if witness is None and isinstance(group, _ProjectiveGroup):
         # dets live in F_q^x / squares; conjugates of unipotents are in the
         # square class, so disjointness is forced when no generator is
-        sub_classes = {legendre(group.elements[h].det(), q) for h in sub_in_g if h != group.identity}
-        gen_classes = {legendre(group.elements[s].det(), q) for s in gens}
-        shortcut = sub_classes.isdisjoint(gen_classes)
+        square = group.square_determinants()
+        shortcut = set(square[hs].tolist()).isdisjoint(square[gens].tolist())
 
     return QuotientConditionReport(witness is None, witness, shortcut)
 
@@ -781,78 +747,42 @@ def check_quotient_condition(
 def find_rotation_pair(group: FiniteGroup, r: int, s: int) -> tuple[int, int]:
     """First pair (by index order) of elements with orders (r, s) whose
     product is an involution."""
-    r_elems = [i for i in range(group.order) if group.element_order(i) == r]
-    s_elems = [i for i in range(group.order) if group.element_order(i) == s]
-    for a in r_elems:
-        for b in s_elems:
-            if group.element_order(group.mul(a, b)) == 2:
-                return a, b
-    raise IncidenceDegenerate(f"no ({r},{s},2) generator pair in {group.name}")
+    orders = group.element_orders()
+    a, b = np.flatnonzero(orders == r), np.flatnonzero(orders == s)
+    hit = orders[group.mul_indices(a[:, None], b)] == 2
+    if not hit.any():
+        raise IncidenceDegenerate(f"no ({r},{s},2) generator pair in {group.name}")
+    i, j = np.unravel_index(np.argmax(hit), hit.shape)
+    return int(a[i]), int(b[j])
 
 
 def coset_graph(group: FiniteGroup, rho: int, sigma: int) -> LabeledGraph:
     """Graph of a rotation system: vertices are left cosets of <sigma>,
     edges are left cosets of <rho*sigma> (an involution), incidence by
-    intersection.
+    intersection. Both kinds of coset are numbered by their smallest
+    member; edges are then sorted by their endpoints.
 
     Labels around each vertex follow the sigma-rotation orbit starting at
     the smallest coset member, so the labeling respects the rotational
     symmetry.
     """
-    s_sub = group.subgroup_indices([sigma])
+    rotation = group.powers(sigma)
     edge_inv = group.mul(rho, sigma)
-    if group.element_order(edge_inv) != 2:
+    if len(group.powers(edge_inv)) != 2:
         raise IncidenceDegenerate("rho*sigma is not an involution")
-    e_sub = group.subgroup_indices([edge_inv])
-    s_order = len(s_sub)
-
-    vertex_of = {}
-    vertices = []
-    for g in range(group.order):
-        coset = frozenset(group.mul(g, h) for h in s_sub)
-        if coset not in vertex_of:
-            vertex_of[coset] = len(vertices)
-            vertices.append(coset)
-    edge_of = {}
-    edge_cosets = []
-    for g in range(group.order):
-        coset = frozenset(group.mul(g, h) for h in e_sub)
-        if coset not in edge_of:
-            edge_of[coset] = len(edge_cosets)
-            edge_cosets.append(coset)
-
-    n = len(vertices)
-    edges_endpoints: list[set[int]] = [set() for _ in edge_cosets]
-    for ei, coset in enumerate(edge_cosets):
-        for g in coset:
-            for vi, vcoset in enumerate(vertices):
-                if g in vcoset:
-                    edges_endpoints[ei].add(vi)
-    for ends in edges_endpoints:
-        if len(ends) != 2:
-            raise IncidenceDegenerate("an edge coset does not meet exactly two vertex cosets")
-
-    # labels: at vertex coset with representative ghat (minimal element),
-    # edge ghat*sigma^k*<rho sigma> gets label k
-    labels_at: list[dict[int, int]] = [dict() for _ in range(n)]
-    for vi, vcoset in enumerate(vertices):
-        ghat = min(vcoset)
-        cur = ghat
-        for k in range(s_order):
-            ecoset = frozenset(group.mul(cur, h) for h in e_sub)
-            ei = edge_of[ecoset]
-            if ei in labels_at[vi]:
-                raise IncidenceDegenerate("rotation orbit revisits an edge")
-            labels_at[vi][ei] = k
-            cur = group.mul(cur, sigma)
-
-    edges, labels = [], []
-    order = sorted(range(len(edge_cosets)), key=lambda ei: tuple(sorted(edges_endpoints[ei])))
-    for ei in order:
-        u, v = sorted(edges_endpoints[ei])
-        edges.append((u, v))
-        labels.append((labels_at[u][ei], labels_at[v][ei]))
-    return LabeledGraph(n, edges, labels, s_order)
+    every = np.arange(group.order)
+    cosets = group.mul_indices(every[:, None], rotation)
+    reps, vertex_of = np.unique(cosets.min(axis=1), return_inverse=True)
+    partner = group.mul_indices(every, edge_inv)  # the edge coset of g is {g, partner[g]}
+    if (vertex_of[partner] == vertex_of).any():
+        raise IncidenceDegenerate("an edge coset does not meet exactly two vertex cosets")
+    # the edge through ghat * sigma^k gets label k at the coset of ghat
+    label = np.empty(group.order, dtype=np.int64)
+    label[group.mul_indices(reps[:, None], rotation)] = np.arange(len(rotation))
+    ends = np.stack([every, partner], axis=1)[every < partner]
+    ends = np.where((vertex_of[ends[:, :1]] < vertex_of[ends[:, 1:]]), ends, ends[:, ::-1])
+    order = np.lexsort((vertex_of[ends[:, 1]], vertex_of[ends[:, 0]]))
+    return LabeledGraph(len(reps), vertex_of[ends[order]], label[ends[order]], len(rotation))
 
 
 def klein_quartic_graph() -> tuple[LabeledGraph, FiniteGroup, int, int]:

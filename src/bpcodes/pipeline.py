@@ -61,10 +61,7 @@ class Recipe:
             p, q = self.p, self.q
             if p is None or q is None:
                 raise RecipeInvalid("lps builds need both primes")
-            if not (is_prime(p) and is_prime(q)) or p == q or p == 2 or q == 2:
-                raise RecipeInvalid("p and q must be distinct odd primes")
-            if q <= 2 * math.sqrt(p):
-                raise RecipeInvalid("need q > 2*sqrt(p)")
+            check_lps_primes(p, q)
             if legendre(p, q) != -1:
                 raise RecipeInvalid(
                     "p must be a non-square modulo q (the projective general "
@@ -90,6 +87,15 @@ class Recipe:
                                     "with quotient at least 3")
             return self
         raise RecipeInvalid(f"unknown graph spec {self.graph!r}")
+
+
+def check_lps_primes(p: int, q: int) -> None:
+    """RecipeInvalid unless p and q are distinct odd primes with q > 2 sqrt(p),
+    as the LPS generators need."""
+    if not (is_prime(p) and is_prime(q)) or p == q or p == 2 or q == 2:
+        raise RecipeInvalid("p and q must be distinct odd primes")
+    if q <= 2 * math.sqrt(p):
+        raise RecipeInvalid("need q > 2*sqrt(p)")
 
 
 @dataclass

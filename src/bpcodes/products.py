@@ -513,22 +513,19 @@ def _lift_kron_identity(lifted: F2Matrix, k: int, ell: int) -> F2Matrix:
 def cyclic_power_map(group: FiniteGroup, gen: int) -> list[int]:
     """powers[i] = k with group element i equal to gen^k; requires gen to
     generate."""
-    powers = [-1] * group.order
-    cur, k = group.identity, 0
-    while powers[cur] < 0:
-        powers[cur] = k
-        cur = group.mul(cur, gen)
-        k += 1
-    if k != group.order:
+    cycle = group.powers(gen)
+    if len(cycle) != group.order:
         raise ActionInvalid("chosen element does not generate the group")
-    return powers
+    powers = np.empty(group.order, dtype=np.int64)
+    powers[cycle] = np.arange(group.order)
+    return powers.tolist()
 
 
 def smallest_generator(group: FiniteGroup) -> int:
-    for i in range(group.order):
-        if group.element_order(i) == group.order:
-            return i
-    raise ActionInvalid("group is not cyclic")
+    generators = np.flatnonzero(group.element_orders() == group.order)
+    if not len(generators):
+        raise ActionInvalid("group is not cyclic")
+    return int(generators[0])
 
 
 @dataclass(frozen=True)
@@ -599,8 +596,7 @@ def tanner_group_algebra_matrix(inst: CircleProductInstance) -> list[list[GroupA
         [GroupAlgebraElem.zero(ell) for _ in range(base.n_edges)]
         for _ in range(base.n * c)
     ]
-    for e, (u, v) in enumerate(base.edges):
-        lu, lv = base.labels[e]
+    for e, ((u, v), (lu, lv)) in enumerate(zip(base.edges.tolist(), base.labels.tolist())):
         phi_pow = inst.powers[qd.connection.values[e]]
         for i in range(c):
             if hc[i, lu]:
@@ -624,9 +620,10 @@ def circle_fiber_bundle(inst: CircleProductInstance) -> FiberBundleComplex:
     db = base_cx.differential(1)
     rows, cols = db.nonzeros()
     c = inst.base_tanner.checks_per_vertex
+    base_edges = inst.quotient.base.edges.tolist()
     for b0, b1 in zip(rows.tolist(), cols.tolist()):
         vert = b0 // c
-        u, v = inst.quotient.base.edges[b1]
+        u, v = base_edges[b1]
         if vert == u:
             conn[(b1, b0)] = rotation_automorphism(ell, 0)
         elif vert == v:

@@ -58,15 +58,9 @@ def build_tanner(
         )
     hc = local.reduced_check()
     c = hc.rows
-    ones: list[tuple[int, int]] = []
-    hc_dense = hc.to_dense()
-    for e, (u, v) in enumerate(x.edges):
-        lu, lv = x.labels[e]
-        for w, lab in ((u, lu), (v, lv)):
-            for i in range(c):
-                if hc_dense[i, lab]:
-                    ones.append((w * c + i, e))
-    d = F2Matrix.from_entries(x.n * c, x.n_edges, ones)
+    # check row i at endpoint w of edge e is set where row i of hc hits the label there
+    i, e, side = np.nonzero(hc.to_dense()[:, x.labels])
+    d = F2Matrix.from_entries(x.n * c, x.n_edges, (x.edges[e, side] * c + i, e))
     t = TannerComplex(x, local, hc, one_complex(d), labeling_note)
     # rate floor: the k of the global code never drops below the counting bound
     k = t.code_dimension()
@@ -96,8 +90,7 @@ def local_view(t: TannerComplex, x_bits: int, v: int) -> int:
     """Restriction of an edge assignment to the labeled neighborhood of v,
     as an s-bit word ordered by label."""
     word = 0
-    for lab in range(t.graph.s):
-        e = t.graph.edge_at[v][lab]
+    for lab, e in enumerate(t.graph.edge_at[v].tolist()):  # Python ints: x_bits is unbounded
         if (x_bits >> e) & 1:
             word |= 1 << lab
     return word
@@ -461,16 +454,9 @@ def klein_tanner_code(search: bool = False) -> TannerComplex:
 
 def _reflect_labels(graph: LabeledGraph, pattern) -> LabeledGraph:
     """Replace the label l by s-1-l at every vertex whose pattern bit is set."""
-    s = graph.s
-    labels = []
-    for e, (u, v) in enumerate(graph.edges):
-        lu, lv = graph.labels[e]
-        if pattern[u]:
-            lu = s - 1 - lu
-        if pattern[v]:
-            lv = s - 1 - lv
-        labels.append((lu, lv))
-    return LabeledGraph(graph.n, graph.edges, labels, s)
+    flip = np.asarray(pattern, dtype=bool)[graph.edges]
+    labels = np.where(flip, graph.s - 1 - graph.labels, graph.labels)
+    return LabeledGraph(graph.n, graph.edges, labels, graph.s)
 
 
 def _as_code(t: TannerComplex) -> LinearCode:

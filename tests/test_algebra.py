@@ -67,13 +67,17 @@ def test_pgl3_closure_and_inverses():
 # -- index-level products against the element-object path ----------------------
 
 
+def _element(g, i):
+    return ProjMat2(g.q, *g.entries[i].tolist())
+
+
 def _object_mul(g, i, j):
     """The product of elements i and j through ProjMat2.mul and the index."""
-    return g.index[g.elements[i].mul(g.elements[j])]
+    return int(g.indices_of([_element(g, i).mul(_element(g, j))])[0])
 
 
 def _object_inv(g, i):
-    return g.index[g.elements[i].inv()]
+    return int(g.indices_of([_element(g, i).inv()])[0])
 
 
 def _projective_group(kind, q):
@@ -110,7 +114,7 @@ def test_projective_products_match_object_path(kind, q, data):
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
 def test_projective_identity_and_inverses_match_object_path(kind, q):
     g = _projective_group(kind, q)
-    assert g.elements[g.identity] == ProjMat2.identity(q)
+    assert _element(g, g.identity) == ProjMat2.identity(q)
     assert g.inverses().tolist() == [_object_inv(g, i) for i in range(g.order)]
 
 
@@ -136,9 +140,9 @@ def test_product_leaving_the_element_list_is_rejected():
     # U(5) short of one element fails the closure check below the cap; above
     # it, PGL(2,11) short of one element fails when an inverse is looked up
     with pytest.raises(InvalidModulus):
-        _ProjectiveGroup(5, unipotent_subgroup(build_pgl2(5)).elements[:-1], name="U(5)-1")
+        _ProjectiveGroup(5, unipotent_subgroup(build_pgl2(5)).entries[:-1], name="U(5)-1")
     with pytest.raises(InvalidModulus):
-        _ProjectiveGroup(11, build_pgl2(11).elements[:-1], name="PGL(2,11)-1")
+        _ProjectiveGroup(11, build_pgl2(11).entries[:-1], name="PGL(2,11)-1")
 
 
 def test_table_groups_above_the_cap_are_rejected():
@@ -149,8 +153,8 @@ def test_table_groups_above_the_cap_are_rejected():
 
 def test_canonical_form_first_nonzero_is_one():
     g = build_pgl2(7)
-    for e in g.elements:
-        first = next(x for x in (e.a, e.b, e.c, e.d) if x != 0)
+    for e in g.entries.tolist():
+        first = next(x for x in e if x != 0)
         assert first == 1
 
 
@@ -159,16 +163,79 @@ def test_unipotent_subgroup(q):
     g = build_pgl2(q)
     u = unipotent_subgroup(g)
     assert u.order == q
-    gen = u.index[ProjMat2(q, 1, 1, 0, 1)]
-    assert u.element_order(gen) == q
+    gen = int(u.indices_of([ProjMat2(q, 1, 1, 0, 1)])[0])
+    assert u.element_orders()[gen] == q
     # determinant class of unipotents is the square class
-    for e in u.elements:
-        assert legendre(e.det(), q) == 1
+    for a, b, c, d in u.entries.tolist():
+        assert legendre(a * d - b * c, q) == 1
 
 
 def test_unipotent_rejects_non_pgl():
     with pytest.raises(NotPGL):
         unipotent_subgroup(cyclic_group(5))
+
+
+# -- the entry arrays against the element lists they replaced -------------------
+
+
+def _old_pgl2_elements(q):
+    """The loop enumeration of PGL(2,q) that the entry array replaced."""
+    elems = []
+    # canonical forms: first nonzero of (a,b,c,d) equals 1
+    for b in range(q):
+        for c in range(q):
+            for d in range(q):
+                if (d - b * c) % q != 0:
+                    elems.append(ProjMat2(q, 1, b, c, d))
+    for c in range(q):
+        for d in range(q):
+            if c != 0:  # det = -c must be nonzero
+                elems.append(ProjMat2(q, 0, 1, c, d))
+    # a = b = 0: det = 0 always; no elements
+    return elems
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_projective_entries_match_loop_enumeration(q):
+    old = _old_pgl2_elements(q)
+    # PSL keeps the square determinant class in PGL order
+    old_psl = [e for e in old if legendre(e.a * e.d - e.b * e.c, q) == 1]
+    for g, elems in ((build_pgl2(q), old), (build_psl2(q), old_psl)):
+        assert g.entries.tolist() == [[e.a, e.b, e.c, e.d] for e in elems]
+        assert g.indices_of(elems).tolist() == list(range(g.order))
+        assert not g.entries.flags.writeable
+    assert unipotent_subgroup(build_pgl2(q)).entries.tolist() == [[1, x, 0, 1] for x in range(q)]
+
+
+def test_indices_of_marks_absent_elements():
+    q = 7
+    psl, pgl = build_psl2(q), build_pgl2(q)
+    outside = [e for e in _old_pgl2_elements(q) if legendre(e.a * e.d - e.b * e.c, q) == -1][:3]
+    assert psl.indices_of(outside).tolist() == [-1, -1, -1]
+    assert (pgl.indices_of(outside) >= 0).all()
+    z9, sub = cyclic_group(9), FiniteGroup([0, 3, 6], lambda a, b: (a + b) % 9)
+    assert z9.indices_of(sub).tolist() == [0, 3, 6]
+    assert z9.indices_of([4, 9]).tolist() == [4, -1]
+
+
+def _old_element_order(g, i):
+    """The scalar loop that the power table replaced."""
+    k, acc = 1, i
+    while acc != g.identity:
+        acc = g.mul(acc, i)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("name", ["PSL(2,7)", "PGL(2,5)", "Z_15"])
+def test_element_orders_and_powers_match_loop(name):
+    g = {"PSL(2,7)": build_psl2(7), "PGL(2,5)": build_pgl2(5), "Z_15": cyclic_group(15)}[name]
+    orders = g.element_orders()
+    assert orders.tolist() == [_old_element_order(g, i) for i in range(g.order)]
+    for i in range(0, g.order, 7):
+        p = g.powers(i)
+        assert len(p) == orders[i] and p[0] == g.identity
+        assert p[1:].tolist() == [g.mul(int(x), i) for x in p[:-1]]
 
 
 def test_group_algebra_identity_and_monomials():

@@ -295,6 +295,16 @@ def test_malformed_local_spec_is_a_domain_error(spec):
         local_code_from_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["rep:-1", "rep:0", "full:0", "full:-2", "goppa:4,20", "goppa:4,-1", "goppa:4,2,-1", "gv:-2,0.1,0"],
+)
+def test_out_of_range_local_spec_is_a_domain_error(spec):
+    # each failed deep inside numpy, or gave a length-0 code, before the check
+    with pytest.raises(DomainError, match="malformed local code spec"):
+        local_code_from_spec(spec)
+
+
 # -- the information-set enumerator against the meet-in-the-middle one ---------
 
 _PAIR_BLOCK = 1 << 22  # word pairs scanned at once by the reference

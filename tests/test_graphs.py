@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpcodes.algebra import FiniteGroup, build_pgl2, cyclic_group, unipotent_subgroup
 from bpcodes.errors import (
+    BpcodesError,
     Disconnected,
     DomainError,
+    IncidenceDegenerate,
     NotSimpleGraph,
     NotSymmetric,
     QuotientConditionViolated,
@@ -39,6 +43,11 @@ from bpcodes.graphs import (
     strong_neighbor_beta,
     LabeledGraph,
 )
+
+
+def _pairs(table) -> list[tuple[int, int]]:
+    """The rows of an (n, 2) edge or label array as tuples of ints."""
+    return [tuple(r) for r in table.tolist()]
 
 
 def petersen() -> LabeledGraph:
@@ -107,9 +116,9 @@ def test_cayley_vertex_transitive():
     # left multiplication permutes edges (Cayley property) on a small group
     z7 = cyclic_group(7)
     g = cayley_graph(z7, [2, 5])
-    edge_set = set(g.edges)
+    edge_set = set(_pairs(g.edges))
     for shift in range(7):
-        for u, v in g.edges:
+        for u, v in _pairs(g.edges):
             iu, iv = (u + shift) % 7, (v + shift) % 7
             assert (min(iu, iv), max(iu, iv)) in edge_set
 
@@ -156,7 +165,7 @@ def test_second_eigenvalue_equals_the_plain_dense_solve(make):
     a = g.adjacency()
     assert second_eigenvalue(g) == float(scipy.linalg.eigvalsh(a)[-2])
     u, v = np.nonzero(np.triu(a))
-    assert sorted(zip(u.tolist(), v.tolist())) == sorted(g.edges)
+    assert sorted(zip(u.tolist(), v.tolist())) == sorted(_pairs(g.edges))
     assert (g.adjacency_sparse().toarray() == a).all()
 
 def test_disconnected_detected():
@@ -164,6 +173,7 @@ def test_disconnected_detected():
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     labels = [(0, 0), (1, 1), (1, 0), (0, 0), (1, 1), (1, 0)]
     g = LabeledGraph(6, edges, labels, 2)
+    assert not g.is_connected()
     with pytest.raises(Disconnected):
         second_eigenvalue(g)
 
@@ -293,12 +303,13 @@ def test_graph_action_table_must_be_an_action():
             edges.append((min(a, b), max(a, b)))
             labels.append((1, 0) if a < b else (0, 1))
     graph = LabeledGraph(2 * m, edges, labels, 2)
-    edge_index = {e: k for k, e in enumerate(graph.edges)}
+    edge_index = {e: k for k, e in enumerate(_pairs(graph.edges))}
 
     def tables(steps):
         vperms = [[vid(v // 2 + s[v % 2], v % 2) for v in range(2 * m)] for s in steps]
         eperms = [
-            [edge_index[tuple(sorted((vp[u], vp[v])))] for u, v in graph.edges] for vp in vperms
+            [edge_index[tuple(sorted((vp[u], vp[v])))] for u, v in _pairs(graph.edges)]
+            for vp in vperms
         ]
         return vperms, eperms
 
@@ -343,9 +354,9 @@ def test_rotation_pair_exists():
 
     g = build_psl2(7)
     rho, sigma = find_rotation_pair(g, 3, 7)
-    assert g.element_order(rho) == 3
-    assert g.element_order(sigma) == 7
-    assert g.element_order(g.mul(rho, sigma)) == 2
+    assert g.element_orders()[rho] == 3
+    assert g.element_orders()[sigma] == 7
+    assert g.element_orders()[g.mul(rho, sigma)] == 2
 
 
 def test_klein_quartic_graph_shape():
@@ -372,19 +383,19 @@ def _fault_cycle(ell, relabel_vertex_zero=False) -> LabeledGraph:
     """The ell-cycle with rotation-invariant labels, or with the two labels
     at vertex 0 swapped."""
     c = cycle_labeled_graph(ell)
-    labels = list(c.labels)
+    labels = _pairs(c.labels)
     if relabel_vertex_zero:
-        for e, (u, v) in enumerate(c.edges):
+        for e, (u, v) in enumerate(_pairs(c.edges)):
             if u == 0:
                 labels[e] = (1 - labels[e][0], labels[e][1])
     return LabeledGraph(ell, c.edges, labels, 2)
 
 
 def _rotation_tables(graph, steps):
-    edge_index = {e: k for k, e in enumerate(graph.edges)}
+    edge_index = {e: k for k, e in enumerate(_pairs(graph.edges))}
     vperms = [[(v + s) % graph.n for v in range(graph.n)] for s in steps]
     eperms = [
-        [edge_index[tuple(sorted((vp[u], vp[v])))] for u, v in graph.edges] for vp in vperms
+        [edge_index[tuple(sorted((vp[u], vp[v])))] for u, v in _pairs(graph.edges)] for vp in vperms
     ]
     return vperms, eperms
 
@@ -394,9 +405,9 @@ def test_graph_action_rejects_vertex_fixed_point():
 
     # the reflection v -> -v of the 4-cycle fixes the vertices 0 and 2
     c4 = cycle_labeled_graph(4)
-    edge_index = {e: k for k, e in enumerate(c4.edges)}
+    edge_index = {e: k for k, e in enumerate(_pairs(c4.edges))}
     refl = [(-v) % 4 for v in range(4)]
-    eperm = [edge_index[tuple(sorted((refl[u], refl[v])))] for u, v in c4.edges]
+    eperm = [edge_index[tuple(sorted((refl[u], refl[v])))] for u, v in _pairs(c4.edges)]
     with pytest.raises(NotFree, match="vertex fixed point"):
         GraphAction(c4, cyclic_group(2), [list(range(4)), refl], [list(range(4)), eperm])
 
@@ -456,12 +467,12 @@ def _old_cayley_edges(group, gens):
 
 
 def _old_right_action_tables(graph, group, sub):
-    edge_index = {e: i for i, e in enumerate(graph.edges)}
+    edges = _pairs(graph.edges)
+    edge_index = {e: i for i, e in enumerate(edges)}
     vperms, eperms = [], []
-    for h_elem in sub.elements:
-        h = group.index[h_elem]
+    for h in group.indices_of(sub).tolist():
         vp = [group.mul(v, h) for v in range(group.order)]
-        eperms.append([edge_index[(min(vp[u], vp[v]), max(vp[u], vp[v]))] for u, v in graph.edges])
+        eperms.append([edge_index[(min(vp[u], vp[v]), max(vp[u], vp[v]))] for u, v in edges])
         vperms.append(vp)
     return vperms, eperms
 
@@ -486,19 +497,21 @@ def _old_orbit_tables(n, h, perms):
 
 def _old_quotient_fields(action):
     x, h = action.graph, action.group
+    edges, labels = _pairs(x.edges), _pairs(x.labels)
     vperms, eperms = action.vertex_perms.tolist(), action.edge_perms.tolist()
     _, orbit_of, rep, shift, _ = _old_orbit_tables(x.n, h, vperms)
     e_orbits, e_orbit_of_old, _, _, e_members = _old_orbit_tables(x.n_edges, h, eperms)
     info = []
     for eo in range(e_orbits):
-        u, v = x.edges[e_members[eo][0]]
+        u, v = edges[e_members[eo][0]]
         ou, ov = orbit_of[u], orbit_of[v]
         src, dst = (ou, ov) if ou < ov else (ov, ou)
         src_rep = rep[src]
-        lift = next(e for e in e_members[eo] if src_rep in x.edges[e])
-        a, b = x.edges[lift]
+        lift = next(e for e in e_members[eo] if src_rep in edges[e])
+        a, b = edges[lift]
         far = b if a == src_rep else a
-        info.append(((src, dst), (x.label_at(src_rep, lift), x.label_at(far, lift)), shift[far], lift))
+        lab_src, lab_far = labels[lift] if a == src_rep else labels[lift][::-1]
+        info.append(((src, dst), (lab_src, lab_far), shift[far], lift))
     order = sorted(range(e_orbits), key=lambda eo: info[eo][0])
     renum = {old: new for new, old in enumerate(order)}
     edge_rep = [info[old][3] for old in order]
@@ -538,8 +551,7 @@ def _old_pair_orbits(perms_l, perms_r, g, nl, nr):
 def _old_conjugate_witness(group, gens, sub):
     gen_set = set(gens)
     for g in range(group.order):
-        for e in sub.elements:
-            h = group.index[e]
+        for h in group.indices_of(sub).tolist():
             if h == group.identity:
                 continue
             c = group.mul(group.mul(g, h), group.inv(g))
@@ -550,8 +562,8 @@ def _old_conjugate_witness(group, gens, sub):
 
 def _quotient_fields(qd):
     return (
-        qd.base.edges,
-        qd.base.labels,
+        _pairs(qd.base.edges),
+        _pairs(qd.base.labels),
         qd.connection.values,
         qd.vertex_orbit_of,
         qd.vertex_rep,
@@ -596,7 +608,7 @@ def test_lps13_group_layer_matches_loop_reference():
 
     inst = lps_instance(5, 13)
     graph, group, gens = lps_graph(5, 13)
-    assert (graph.edges, graph.labels) == _old_cayley_edges(group, gens)
+    assert (_pairs(graph.edges), _pairs(graph.labels)) == _old_cayley_edges(group, gens)
     sub = inst.action.group
     _assert_action_matches(inst.action, graph, group, gens, sub)
     for perms, n in ((inst.action.vertex_perms, graph.n), (inst.action.edge_perms, graph.n_edges)):
@@ -618,7 +630,7 @@ def test_lps13_group_layer_matches_loop_reference():
 
 def test_psl7_group_layer_matches_loop_reference():
     graph, group, gens = _psl7_rotation_graph()
-    assert (graph.edges, graph.labels) == _old_cayley_edges(group, gens)
+    assert (_pairs(graph.edges), _pairs(graph.labels)) == _old_cayley_edges(group, gens)
     sub = unipotent_subgroup(group)
     rep = check_quotient_condition(group, gens, sub)
     assert not rep.holds
@@ -657,3 +669,271 @@ def test_z9_witness_matches_loop_reference():
     assert check_quotient_condition(z9, [1, 8], sub).witness is None is _old_conjugate_witness(
         z9, [1, 8], sub
     )
+
+
+# -- coset graphs, validation and reconstruction against their loop code --------
+#
+# Each _old_* function below is the loop implementation that the index-array
+# version replaced, kept as the reference; group products go through the
+# scalar FiniteGroup.mul and graphs are read as lists of int pairs.
+
+
+def _old_element_order(group, i):
+    k, acc = 1, i
+    while acc != group.identity:
+        acc = group.mul(acc, i)
+        k += 1
+    return k
+
+
+def _old_subgroup_indices(group, generators):
+    seen = {group.identity}
+    frontier = [group.identity]
+    gens = list(generators) + [group.inv(g) for g in generators]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _old_find_rotation_pair(group, r, s):
+    r_elems = [i for i in range(group.order) if _old_element_order(group, i) == r]
+    s_elems = [i for i in range(group.order) if _old_element_order(group, i) == s]
+    for a in r_elems:
+        for b in s_elems:
+            if _old_element_order(group, group.mul(a, b)) == 2:
+                return a, b
+    raise IncidenceDegenerate(f"no ({r},{s},2) generator pair in {group.name}")
+
+
+def _old_coset_graph(group, rho, sigma):
+    s_sub = _old_subgroup_indices(group, [sigma])
+    edge_inv = group.mul(rho, sigma)
+    if _old_element_order(group, edge_inv) != 2:
+        raise IncidenceDegenerate("rho*sigma is not an involution")
+    e_sub = _old_subgroup_indices(group, [edge_inv])
+    s_order = len(s_sub)
+
+    vertex_of = {}
+    vertices = []
+    for g in range(group.order):
+        coset = frozenset(group.mul(g, h) for h in s_sub)
+        if coset not in vertex_of:
+            vertex_of[coset] = len(vertices)
+            vertices.append(coset)
+    edge_of = {}
+    edge_cosets = []
+    for g in range(group.order):
+        coset = frozenset(group.mul(g, h) for h in e_sub)
+        if coset not in edge_of:
+            edge_of[coset] = len(edge_cosets)
+            edge_cosets.append(coset)
+
+    n = len(vertices)
+    edges_endpoints = [set() for _ in edge_cosets]
+    for ei, coset in enumerate(edge_cosets):
+        for g in coset:
+            for vi, vcoset in enumerate(vertices):
+                if g in vcoset:
+                    edges_endpoints[ei].add(vi)
+    for ends in edges_endpoints:
+        if len(ends) != 2:
+            raise IncidenceDegenerate("an edge coset does not meet exactly two vertex cosets")
+
+    labels_at = [dict() for _ in range(n)]
+    for vi, vcoset in enumerate(vertices):
+        ghat = min(vcoset)
+        cur = ghat
+        for k in range(s_order):
+            ecoset = frozenset(group.mul(cur, h) for h in e_sub)
+            ei = edge_of[ecoset]
+            if ei in labels_at[vi]:
+                raise IncidenceDegenerate("rotation orbit revisits an edge")
+            labels_at[vi][ei] = k
+            cur = group.mul(cur, sigma)
+
+    edges, labels = [], []
+    order = sorted(range(len(edge_cosets)), key=lambda ei: tuple(sorted(edges_endpoints[ei])))
+    for ei in order:
+        u, v = sorted(edges_endpoints[ei])
+        edges.append((u, v))
+        labels.append((labels_at[u][ei], labels_at[v][ei]))
+    return LabeledGraph(n, edges, labels, s_order)
+
+
+def _graph_fields(g):
+    return g.n, _pairs(g.edges), _pairs(g.labels), g.s
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except BpcodesError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q,r,s", [(7, 3, 7), (7, 7, 3), (5, 3, 5), (5, 5, 3)])
+def test_coset_graph_matches_loop_reference(q, r, s):
+    from bpcodes.algebra import build_psl2
+
+    group = build_psl2(q)
+    rho, sigma = find_rotation_pair(group, r, s)
+    assert (rho, sigma) == _old_find_rotation_pair(group, r, s)
+    old = _old_coset_graph(group, rho, sigma)
+    assert _graph_fields(coset_graph(group, rho, sigma)) == _graph_fields(old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 59), st.integers(0, 59))
+def test_coset_graph_on_any_pair_matches_loop_reference(rho, sigma):
+    # PSL(2,5) = A_5: most pairs are degenerate and must fail the same way
+    from bpcodes.algebra import build_psl2
+
+    group = build_psl2(5)
+    new = _outcome(lambda: _graph_fields(coset_graph(group, rho, sigma)))
+    assert new == _outcome(lambda: _graph_fields(_old_coset_graph(group, rho, sigma)))
+
+
+def _old_validate(n, edges, labels, s):
+    if len(labels) != len(edges):
+        raise NotSimpleGraph("labels and edges differ in length")
+    seen = set()
+    deg = [0] * n
+    per_vertex_labels = [set() for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        if u == v:
+            raise SelfLoop(f"edge {e} is a self-loop at {u}")
+        if not (0 <= u < v < n):
+            raise NotSimpleGraph(f"edge {e} endpoints out of order or range")
+        if (u, v) in seen:
+            raise NotSimpleGraph(f"parallel edge {u}-{v}")
+        seen.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+        lu, lv = labels[e]
+        for w, l in ((u, lu), (v, lv)):
+            if not (0 <= l < s):
+                raise NotSimpleGraph(f"label {l} outside [0,{s}) at vertex {w}")
+            if l in per_vertex_labels[w]:
+                raise NotSimpleGraph(f"label {l} repeated at vertex {w}")
+            per_vertex_labels[w].add(l)
+    if any(d != s for d in deg):
+        raise NotSimpleGraph("graph is not regular of the declared degree")
+
+
+@st.composite
+def _faulty_edge_lists(draw):
+    """A cycle, complete or Petersen graph with its edges shuffled, then up
+    to four faults injected: endpoints moved or swapped, edges repeated or
+    made loops, labels changed, edges or labels dropped."""
+    graphs = [cycle_labeled_graph(5), cycle_labeled_graph(8), complete_graph(5), petersen()]
+    g = draw(st.sampled_from(graphs))
+    perm = draw(st.permutations(range(g.n_edges)))
+    edges = [list(g.edges[e]) for e in perm]
+    labels = [list(g.labels[e]) for e in perm]
+    for _ in range(draw(st.integers(0, 4))):
+        e = draw(st.integers(0, len(edges) - 1))
+        side = draw(st.integers(0, 1))
+        fault = draw(st.sampled_from(["end", "swap", "repeat", "loop", "label", "drop", "short"]))
+        if fault == "end":
+            edges[e][side] = draw(st.integers(-1, g.n))
+        elif fault == "swap":
+            edges[e].reverse()
+        elif fault == "repeat":
+            edges[e] = list(edges[draw(st.integers(0, len(edges) - 1))])
+        elif fault == "loop":
+            edges[e][1 - side] = edges[e][side]
+        elif fault == "label":
+            labels[e][side] = draw(st.integers(-1, g.s))
+        elif fault == "drop" and len(edges) > 1:
+            del edges[e], labels[e]
+        elif fault == "short":
+            del labels[e]
+            break
+    return g.n, [tuple(e) for e in edges], [tuple(l) for l in labels], g.s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_edge_lists())
+def test_validate_matches_loop_reference(case):
+    n, edges, labels, s = case
+    old = _outcome(_old_validate, n, edges, labels, s)
+    new = _outcome(lambda: _graph_fields(LabeledGraph(n, edges, labels, s)))
+    assert new == (old if old is not None else (n, edges, labels, s))
+
+
+def _old_reconstruct(qd):
+    base, conn = qd.base, qd.connection
+    h = conn.group
+    n = base.n * h.order
+    edges, labels = [], []
+    for e, ((u, v), (lu, lv)) in enumerate(zip(_pairs(base.edges), _pairs(base.labels))):
+        phi = conn.values[e]
+        for k in range(h.order):
+            a = u * h.order + k
+            b = v * h.order + h.mul(phi, k)
+            lo, hi = (a, b) if a < b else (b, a)
+            labels.append((lu, lv) if a < b else (lv, lu))
+            edges.append((lo, hi))
+    return LabeledGraph(n, edges, labels, base.s)
+
+
+def _old_isomorphic(a, b, vmap):
+    if a.n != b.n or a.n_edges != b.n_edges or a.s != b.s:
+        return False
+    b_edges = {e: i for i, e in enumerate(_pairs(b.edges))}
+    b_labels = _pairs(b.labels)
+    for (u, v), (lu, lv) in zip(_pairs(a.edges), _pairs(a.labels)):
+        iu, iv = vmap[u], vmap[v]
+        key = (min(iu, iv), max(iu, iv))
+        if key not in b_edges:
+            return False
+        at_iu, at_iv = b_labels[b_edges[key]] if iu < iv else b_labels[b_edges[key]][::-1]
+        if at_iu != lu or at_iv != lv:
+            return False
+    return True
+
+
+def _covering_map(qd, n, order):
+    inv_map = {qd.vertex_orbit_of[v] * order + qd.vertex_shift[v]: v for v in range(n)}
+    return [inv_map[i] for i in range(n)]
+
+
+def _lps7_action():
+    graph, group, gens = lps_graph(5, 7)
+    return cayley_right_action(graph, group, gens, unipotent_subgroup(group))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cycle_rotation_action(cycle_labeled_graph(9), 3),
+        lambda: cycle_rotation_action(cycle_labeled_graph(21), 7),
+        _lps7_action,
+    ],
+    ids=["C9/Z3", "C21/Z7", "lps(5,7)/U(7)"],
+)
+def test_reconstruction_and_isomorphism_match_loop_reference(make):
+    action = make()
+    x, qd = action.graph, quotient_graph(action)
+    rec = reconstruct_from_quotient(qd)
+    assert _graph_fields(rec) == _graph_fields(_old_reconstruct(qd))
+    vmap = _covering_map(qd, x.n, action.group.order)
+    assert graphs_isomorphic_by_map(rec, x, vmap) and _old_isomorphic(rec, x, vmap)
+    # maps with two images swapped, and the graph with the labels swapped at every edge
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        wrong = list(vmap)
+        i, j = rng.choice(x.n, 2, replace=False)
+        wrong[i], wrong[j] = wrong[j], wrong[i]
+        assert graphs_isomorphic_by_map(rec, x, wrong) == _old_isomorphic(rec, x, wrong)
+        assert graphs_isomorphic_by_map(x, rec, wrong) == _old_isomorphic(x, rec, wrong)
+    flipped = LabeledGraph(x.n, x.edges, x.labels[:, ::-1], x.s)
+    assert graphs_isomorphic_by_map(rec, flipped, vmap) == _old_isomorphic(rec, flipped, vmap)

@@ -145,6 +145,19 @@ def test_cli_malformed_graph_spec_exit_code(tmp_path, capsys, argv):
     assert "invalid recipe: malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["lps:5,4", "cycle:0", "cycle:2", "complete:2"])
+def test_cli_spectrum_rejects_out_of_range_graph_spec(capsys, spec):
+    # p = 4 is not prime; a second eigenvalue needs at least 3 vertices
+    assert main(["spectrum", "--graph", spec]) == 2
+    assert "invalid recipe" in capsys.readouterr().err
+
+
+def test_cli_spectrum_allows_psl_pairs(capsys):
+    # (5/11) = 1: the LPS graph lives on PSL(2,11), which bpcodes build rejects
+    assert main(["spectrum", "--graph", "lps:5,11"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("lps:5,11,660,6,")
+
+
 def test_recipe_malformed_cycle_length_is_invalid():
     with pytest.raises(RecipeInvalid, match="malformed cycle length"):
         Recipe(graph="cycle:abc", ell=3, local="rep:2").validated()

@@ -14,8 +14,8 @@ from bpcodes.classical import (
     repetition_code,
 )
 from bpcodes.errors import DegreeMismatch
-from bpcodes.f2la import kernel_basis
-from bpcodes.graphs import cycle_labeled_graph, second_eigenvalue
+from bpcodes.f2la import F2Matrix, kernel_basis
+from bpcodes.graphs import LabeledGraph, cycle_labeled_graph, second_eigenvalue
 from bpcodes import tanner
 from bpcodes.tanner import (
     build_tanner,
@@ -433,3 +433,57 @@ def test_lemire_rejects_exactly_below_the_threshold(bound):
     vals, rejected = tanner._lemire(words, np.uint64(bound))
     assert rejected.tolist() == [False, True]
     assert vals.tolist() == [int(u) * bound >> 32 for u in words]
+
+
+# -- the index-array Tanner differential and relabeling against their loops -----
+
+
+def _old_tanner_differential(x, local):
+    """The per-edge list of (row, col) ones that build_tanner replaced."""
+    hc = local.reduced_check()
+    c = hc.rows
+    ones = []
+    hc_dense = hc.to_dense()
+    for e, ((u, v), (lu, lv)) in enumerate(zip(x.edges.tolist(), x.labels.tolist())):
+        for w, lab in ((u, lu), (v, lv)):
+            for i in range(c):
+                if hc_dense[i, lab]:
+                    ones.append((w * c + i, e))
+    return F2Matrix.from_entries(x.n * c, x.n_edges, ones)
+
+
+def _old_reflect_labels(graph, pattern):
+    s = graph.s
+    labels = []
+    for (u, v), (lu, lv) in zip(graph.edges.tolist(), graph.labels.tolist()):
+        if pattern[u]:
+            lu = s - 1 - lu
+        if pattern[v]:
+            lv = s - 1 - lv
+        labels.append((lu, lv))
+    return LabeledGraph(graph.n, graph.edges.tolist(), labels, s)
+
+
+def _assert_reflection_and_differential_match(graph, pattern, local):
+    flipped = tanner._reflect_labels(graph, pattern)
+    old = _old_reflect_labels(graph, pattern)
+    assert flipped.labels.tolist() == old.labels.tolist()
+    assert flipped.edges.tolist() == old.edges.tolist()
+    assert build_tanner(flipped, local).differential() == _old_tanner_differential(old, local)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 24), st.data())
+def test_cycle_differentials_match_loop_reference(ell, data):
+    # a random sense at each vertex of the cycle, with each local code on 2 bits
+    pattern = data.draw(st.lists(st.integers(0, 1), min_size=ell, max_size=ell))
+    local = data.draw(st.sampled_from([repetition_code(2), full_space_code(2)]))
+    _assert_reflection_and_differential_match(cycle_labeled_graph(ell), pattern, local)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=24, max_size=24))
+def test_klein_differentials_match_loop_reference(pattern):
+    from bpcodes.graphs import klein_quartic_graph
+
+    _assert_reflection_and_differential_match(klein_quartic_graph()[0], pattern, hamming_7_4())
