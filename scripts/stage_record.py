@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Time and size the stages of one lps(p, q) build, one stage at a time.
+
+    python3 scripts/stage_record.py --p 5 --q 23 [--local SPEC]
+
+Prints one JSON line per stage with its wall time (``wall_s``), the
+process's high-water mark after it (``ru_maxrss_mb``) and its current
+resident size (``rss_mb``, from /proc/self/statm). Run one process per
+record, under ``ulimit -v`` for the large q. This stands in for a traced
+``bpcodes build`` until the package reports its own stage spans.
+"""
+
+import argparse
+import json
+import os
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from bpcodes.algebra import unipotent_subgroup  # noqa: E402
+from bpcodes.classical import local_code_from_spec  # noqa: E402
+from bpcodes.graphs import (  # noqa: E402
+    cayley_right_action,
+    check_quotient_condition,
+    lps_graph,
+    second_eigenvalue,
+)
+from bpcodes.products import circle_balanced_product, homology_split  # noqa: E402
+from bpcodes.quantum import css_from_complex  # noqa: E402
+from bpcodes.tanner import build_tanner  # noqa: E402
+
+PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def rss_mb() -> float:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * PAGE_MB
+
+
+def record(stage: str, fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    wall = time.perf_counter() - t0
+    print(json.dumps({
+        "stage": stage,
+        "wall_s": round(wall, 4),
+        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "rss_mb": round(rss_mb(), 1),
+    }), flush=True)
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--p", type=int, required=True)
+    ap.add_argument("--q", type=int, required=True)
+    ap.add_argument("--local", default=None, help="local code spec (default gv:P+1,0.1,0)")
+    args = ap.parse_args()
+    local = args.local or f"gv:{args.p + 1},0.1,0"
+
+    print(json.dumps({"stage": "start", "p": args.p, "q": args.q, "local": local,
+                      "rss_mb": round(rss_mb(), 1)}), flush=True)
+    graph, group, gens = record("lps_graph", lps_graph, args.p, args.q)
+    sub = unipotent_subgroup(group)
+    record("check_quotient_condition", check_quotient_condition, group, gens, sub)
+    action = record("cayley_right_action", cayley_right_action, graph, group, gens, sub)
+    code = record("local_code_from_spec", local_code_from_spec, local)
+    tanner = record("build_tanner", build_tanner, graph, code)
+    record("second_eigenvalue", second_eigenvalue, graph)
+    inst = record("circle_balanced_product", circle_balanced_product, tanner, action)
+    record("homology_split", homology_split, inst)
+    record("css_from_complex", css_from_complex, inst.product.total, 1)
+
+
+if __name__ == "__main__":
+    main()

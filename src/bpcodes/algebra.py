@@ -8,6 +8,7 @@ GF(2^m) as polynomials modulo a fixed primitive polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,6 +91,38 @@ class ProjMat2:
 
 
 CAYLEY_TABLE_CAP = 400  # largest group given a full multiplication table
+_INDEX_BLOCK = 1 << 13  # entries per block of a large broadcast index computation
+
+
+def row_blocks(rows: int, row_size: int) -> list[slice]:
+    """Slices of consecutive rows of about _INDEX_BLOCK entries each, at
+    least one row a slice."""
+    step = max(1, _INDEX_BLOCK // max(row_size, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def blockwise(fn, a, b) -> np.ndarray:
+    """fn(a, b) for int arrays broadcast together. Above _INDEX_BLOCK
+    entries it is evaluated a block of leading-axis rows at a time into
+    one int64 result (a row longer than a block is split the same way),
+    so fn's temporaries stay about a block; an error raised by fn comes
+    from the first block that has it."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    if math.prod(shape) <= _INDEX_BLOCK:
+        return fn(a, b)
+    out = np.empty(shape, dtype=np.int64)
+    _fill_blocks(fn, *np.broadcast_arrays(a, b), out)
+    return out
+
+
+def _fill_blocks(fn, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    row_size = out.size // len(out)
+    if row_size > _INDEX_BLOCK:
+        for i in range(len(out)):
+            _fill_blocks(fn, a[i], b[i], out[i])
+        return
+    for rows in row_blocks(len(out), row_size):
+        out[rows] = fn(a[rows], b[rows])
 
 
 def index_table(rows, shape: tuple[int, int]) -> np.ndarray | None:
@@ -200,9 +233,11 @@ class FiniteGroup:
             return False
         if not np.array_equal(p[self.identity], np.arange(n)):
             return False
-        every = np.arange(self.order)
+        every, blocks = np.arange(self.order), row_blocks(self.order, n)
         return all(
-            np.array_equal(p[a][p], p[self.mul_indices(a, every)]) for a in range(self.order)
+            np.array_equal(p[a][p[rows]], p[self.mul_indices(a, every[rows])])
+            for a in range(self.order)
+            for rows in blocks
         )
 
     def is_abelian(self) -> bool:
@@ -268,7 +303,8 @@ class _ProjectiveGroup(FiniteGroup):
     """A group of projective 2x2 matrices over F_q, held as the read-only
     (order, 4) array ``entries`` of their normalized entries (a, b, c, d).
     Products multiply entries mod q, scale by the inverse of the leading
-    entry and look the index up by sorted code."""
+    entry and look the index up by sorted code, a block at a time
+    (``blockwise``)."""
 
     def __init__(self, q: int, entries, name: str):
         self.q = q
@@ -308,6 +344,9 @@ class _ProjectiveGroup(FiniteGroup):
         return found
 
     def mul_indices(self, a, b) -> np.ndarray:
+        return blockwise(self._products, a, b)
+
+    def _products(self, a, b) -> np.ndarray:
         x, y = self._entries[:, a], self._entries[:, b]
         q = self.q
         m = np.stack([

@@ -18,7 +18,16 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .algebra import FiniteGroup, ProjMat2, _ProjectiveGroup, index_table, is_prime, legendre
+from .algebra import (
+    FiniteGroup,
+    ProjMat2,
+    _ProjectiveGroup,
+    blockwise,
+    index_table,
+    is_prime,
+    legendre,
+    row_blocks,
+)
 from .errors import (
     Disconnected,
     DomainError,
@@ -94,8 +103,12 @@ class LabeledGraph:
         return len(self.edges)
 
     def edge_ids(self, u, v) -> np.ndarray:
-        """Indices of the edges {u, v}, broadcast over int arrays u and v;
-        -1 where the two vertices are not joined."""
+        """Indices of the edges {u, v}, broadcast over int arrays u and v
+        (a block at a time, ``blockwise``); -1 where the two vertices are
+        not joined."""
+        return blockwise(self._edge_ids, u, v)
+
+    def _edge_ids(self, u, v) -> np.ndarray:
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         codes = lo * self.n + hi
         if not self.n_edges:
@@ -468,44 +481,52 @@ class GraphAction:
         """Raise on the first faulty group element in index order, with
         the checks of each element in the order: vertex fixed point, edge
         fixed point, then per edge the image and its labels; the quotient
-        condition last."""
+        condition last. The elements are checked a block at a time."""
         g, x = self.group, self.graph
         vp, ep = self.vertex_perms, self.edge_perms
         if vp is None or not g.is_action_table(vp):
             raise NotFree("vertex permutations are not a group action")
         if ep is None or (ep.size and (ep.min() < 0 or ep.max() >= x.n_edges)):
             raise NotFree("edge permutations are not a table of edge indices")
-        others = (np.arange(g.order) != g.identity)[:, None]
-        vfix = ((vp == np.arange(x.n)) & others).any(axis=1)
-        efix = ((ep == np.arange(x.n_edges)) & others).any(axis=1)
         ends, labs = x.edges, x.labels
-        iu, iv = vp[:, ends[:, 0]], vp[:, ends[:, 1]]
-        image, image_labs = ends[ep], labs[ep]
-        moved = (image[..., 0] != np.minimum(iu, iv)) | (image[..., 1] != np.maximum(iu, iv))
-        at_u = np.where(image[..., 0] == iu, image_labs[..., 0], image_labs[..., 1])
-        at_v = np.where(image[..., 0] == iv, image_labs[..., 0], image_labs[..., 1])
-        bad = moved | (at_u != labs[:, 0]) | (at_v != labs[:, 1])
-        faulty = vfix | efix | bad.any(axis=1)
-        if faulty.any():
-            h = int(np.argmax(faulty))
-            if vfix[h]:
-                raise NotFree("action has a vertex fixed point")
-            if efix[h]:
-                raise NotFree("action has an edge fixed point")
-            if moved[h, np.argmax(bad[h])]:
-                raise NotFree("edge permutation does not match vertex images")
-            raise QuotientConditionViolated("labels are not action-invariant")
-        inside = ((iu == ends[:, 1]) | (iv == ends[:, 0])) & others
-        if inside.any():
-            u, v = x.edges[np.argmax(inside) % x.n_edges]
+        inside_at = None  # the first element with an edge inside an orbit
+        for rows in row_blocks(g.order, x.n_edges):
+            vb, eb = vp[rows], ep[rows]
+            others = (np.arange(g.order)[rows] != g.identity)[:, None]
+            vfix = ((vb == np.arange(x.n)) & others).any(axis=1)
+            efix = ((eb == np.arange(x.n_edges)) & others).any(axis=1)
+            iu, iv = vb[:, ends[:, 0]], vb[:, ends[:, 1]]
+            image, image_labs = ends[eb], labs[eb]
+            moved = (image[..., 0] != np.minimum(iu, iv)) | (image[..., 1] != np.maximum(iu, iv))
+            at_u = np.where(image[..., 0] == iu, image_labs[..., 0], image_labs[..., 1])
+            at_v = np.where(image[..., 0] == iv, image_labs[..., 0], image_labs[..., 1])
+            bad = moved | (at_u != labs[:, 0]) | (at_v != labs[:, 1])
+            faulty = vfix | efix | bad.any(axis=1)
+            if faulty.any():
+                h = int(np.argmax(faulty))
+                if vfix[h]:
+                    raise NotFree("action has a vertex fixed point")
+                if efix[h]:
+                    raise NotFree("action has an edge fixed point")
+                if moved[h, np.argmax(bad[h])]:
+                    raise NotFree("edge permutation does not match vertex images")
+                raise QuotientConditionViolated("labels are not action-invariant")
+            inside = ((iu == ends[:, 1]) | (iv == ends[:, 0])) & others
+            if inside_at is None and inside.any():
+                inside_at = int(np.argmax(inside)) % x.n_edges
+        if inside_at is not None:
+            u, v = x.edges[inside_at]
             raise QuotientConditionViolated(f"edge {u}-{v} joins a vertex to its own orbit")
 
 
 def _edge_images(graph: LabeledGraph, vperms: np.ndarray) -> np.ndarray:
     """Edge permutations induced by vertex permutations (-1 where the
-    image of an edge is not an edge)."""
+    image of an edge is not an edge), a block of group elements at a time."""
     ends = graph.edges
-    return graph.edge_ids(vperms[:, ends[:, 0]], vperms[:, ends[:, 1]])
+    out = np.empty((len(vperms), graph.n_edges), dtype=np.int64)
+    for rows in row_blocks(len(vperms), graph.n_edges):
+        out[rows] = graph.edge_ids(vperms[rows][:, ends[:, 0]], vperms[rows][:, ends[:, 1]])
+    return out
 
 
 def cayley_right_action(
@@ -697,9 +718,6 @@ def graphs_isomorphic_by_map(a: LabeledGraph, b: LabeledGraph, vmap) -> bool:
 # -- quotient condition ----------------------------------------------------
 
 
-_CONJUGATE_BLOCK = 1 << 18  # conjugates computed per block
-
-
 @dataclass(frozen=True)
 class QuotientConditionReport:
     holds: bool
@@ -717,19 +735,13 @@ def check_quotient_condition(
     if (sub_in_g < 0).any():
         raise NotFree("subgroup element missing from the ambient group")
     hs = sub_in_g[sub_in_g != group.identity]
-    inverses = group.inverses()
+    g = np.arange(group.order)[:, None]
+    conj = group.mul_indices(group.mul_indices(g, hs), group.inverses()[g])  # [g, k] = g hs[k] g^-1
+    hit = np.isin(conj, gens)
     witness = None
-    # every g h g^-1, a block of g at a time; the first hit in g-major,
-    # subgroup order is the witness
-    step = max(1, _CONJUGATE_BLOCK // max(len(hs), 1))
-    for lo in range(0, group.order, step):
-        g = np.arange(lo, min(lo + step, group.order))[:, None]
-        conj = group.mul_indices(group.mul_indices(g, hs), inverses[g])
-        hit = np.isin(conj, gens)
-        if hit.any():
-            i, k = np.unravel_index(np.argmax(hit), hit.shape)
-            witness = (lo + int(i), int(hs[k]), int(conj[i, k]))
-            break
+    if hit.any():  # the first hit in g-major, subgroup order
+        i, k = np.unravel_index(np.argmax(hit), hit.shape)
+        witness = (int(i), int(hs[k]), int(conj[i, k]))
 
     shortcut = None
     if witness is None and isinstance(group, _ProjectiveGroup):

@@ -21,6 +21,7 @@ from .errors import BpcodesError, BundleCorrupt, DegreeMismatch, RecipeInvalid
 from .f2la import F2Matrix, IncrementalSpan, rank, read_alist, write_alist
 from .graphs import (
     GraphAction,
+    LabeledGraph,
     cayley_right_action,
     check_quotient_condition,
     cycle_labeled_graph,
@@ -90,12 +91,16 @@ class Recipe:
 
 
 def check_lps_primes(p: int, q: int) -> None:
-    """RecipeInvalid unless p and q are distinct odd primes with q > 2 sqrt(p),
-    as the LPS generators need."""
+    """RecipeInvalid unless p and q are distinct odd primes with q > 2 sqrt(p)
+    and p != 3 mod 8, as the LPS generators and their edge labels need."""
     if not (is_prime(p) and is_prime(q)) or p == q or p == 2 or q == 2:
         raise RecipeInvalid("p and q must be distinct odd primes")
     if q <= 2 * math.sqrt(p):
         raise RecipeInvalid("need q > 2*sqrt(p)")
+    if p % 8 == 3:
+        # p is then a sum of three squares, so some LPS quadruple has a = 0:
+        # a trace-0 generator, an involution, which the labels cannot take
+        raise RecipeInvalid("p = 3 mod 8 gives an involutive LPS generator")
 
 
 @dataclass
@@ -134,9 +139,23 @@ def resolve_local_spec(spec: str, registry: dict[str, str] | None = None) -> str
 def build_instance(recipe: Recipe) -> tuple[TannerComplex, GraphAction, dict]:
     """Construct the graph, the action, and the Tanner complex of a recipe."""
     recipe = recipe.validated()
+    return _instance_on(recipe, *_recipe_graph(recipe))
+
+
+def _recipe_graph(recipe: Recipe) -> tuple:
+    """The graph of a validated recipe, with its group and generator
+    indices (None for a cycle)."""
+    if recipe.graph == "lps":
+        return lps_graph(recipe.p, recipe.q)
+    return cycle_labeled_graph(int(recipe.graph.split(":", 1)[1])), None, None
+
+
+def _instance_on(
+    recipe: Recipe, graph: LabeledGraph, group, gens
+) -> tuple[TannerComplex, GraphAction, dict]:
+    """The action and the Tanner complex of a validated recipe on its graph."""
     info: dict = {"graph": recipe.graph, "local": recipe.local}
     if recipe.graph == "lps":
-        graph, group, gens = lps_graph(recipe.p, recipe.q)
         sub = unipotent_subgroup(group)
         qc = check_quotient_condition(group, gens, sub)
         if not qc.holds:
@@ -147,8 +166,6 @@ def build_instance(recipe: Recipe) -> tuple[TannerComplex, GraphAction, dict]:
         }
         action = cayley_right_action(graph, group, gens, sub)
     else:
-        n = int(recipe.graph.split(":", 1)[1])
-        graph = cycle_labeled_graph(n)
         action = cycle_rotation_action(graph, recipe.ell)
     local = local_code_from_spec(recipe.local)
     if local.n != graph.s:
@@ -165,10 +182,12 @@ def build_instance(recipe: Recipe) -> tuple[TannerComplex, GraphAction, dict]:
 
 def build_bundle(recipe: Recipe, out_dir: str) -> BuildResult:
     """Run the full pipeline and write the code bundle to out_dir."""
-    tanner, action, info = build_instance(recipe)
-    graph = tanner.graph
-
+    valid = recipe.validated()
+    graph, group, gens = _recipe_graph(valid)
+    # solved while only the graph exists, so the dense eigensolve's matrix
+    # does not stack on the action and the Tanner complex
     lam2 = second_eigenvalue(graph)
+    tanner, action, info = _instance_on(valid, graph, group, gens)
     info["lambda2"] = lam2
     info["ramanujan_bound"] = 2 * math.sqrt(graph.s - 1)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import LinearCode, dual_distance, exact_distance
+from .classical import ENUMERATION_CAP, LinearCode, dual_distance, exact_distance
 from .complexes import ChainComplex, one_complex
 from .errors import DegreeMismatch, DomainError
 from .f2la import F2Matrix
@@ -486,7 +486,7 @@ def tanner_report(t: TannerComplex, with_distance: bool = False) -> dict:
         "local_code": {"n": t.local.n, "k": t.local.k, "d": t.local.d},
         "labeling": t.labeling_note,
     }
-    if with_distance and 0 < k <= 28:
+    if with_distance and 0 < k <= ENUMERATION_CAP:
         out["d"] = exact_distance(_as_code(t))
     return out
 

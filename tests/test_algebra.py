@@ -1,13 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
+from bpcodes import algebra
 from bpcodes.algebra import (
     FiniteGroup,
     _ProjectiveGroup,
+    _pgl2_entries,
     GF2m,
     GroupAlgebraElem,
     ProjMat2,
@@ -143,6 +147,83 @@ def test_product_leaving_the_element_list_is_rejected():
         _ProjectiveGroup(5, unipotent_subgroup(build_pgl2(5)).entries[:-1], name="U(5)-1")
     with pytest.raises(InvalidModulus):
         _ProjectiveGroup(11, build_pgl2(11).entries[:-1], name="PGL(2,11)-1")
+
+
+# -- products a block at a time ------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["PGL(2,5)", "PSL(2,7)"]),
+    st.integers(1, 7),
+    npst.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, min_side=0, max_side=6),
+    st.data(),
+)
+def test_blocked_products_match_one_block(name, block, shapes, data):
+    """0-d, 1-d, 2-d, 3-d, empty and column x row broadcasts, a few
+    entries a block, against the same product in one pass."""
+    g = build_pgl2(5) if name == "PGL(2,5)" else build_psl2(7)
+    a, b = (
+        data.draw(npst.arrays(np.int64, shape, elements=st.integers(0, g.order - 1)))
+        for shape in shapes.input_shapes
+    )
+    want = g._products(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", block)
+        got = g.mul_indices(a, b)
+    assert got.shape == want.shape == shapes.result_shape
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+class _Unchecked(_ProjectiveGroup):
+    """A projective element list without the identity, inverse and
+    closure checks, so products may leave it."""
+
+    def _derive(self, name, order):
+        self.name, self.order = name, order
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_product_leaving_the_group_raises_from_a_later_block(block):
+    """{1, g, g^-1} for g of order 5 in PGL(2,5): every product in a
+    column of identities times g stays in it, the last one, g * g, leaves."""
+    pgl = build_pgl2(5)
+    g = int(np.argmax(pgl.element_orders() == 5))
+    entries = pgl.entries[[pgl.identity, g, pgl.inv(g)]]
+    some = _Unchecked(5, entries, name="not a group")
+    a = np.array([0] * 8 + [1])[:, None]
+    calls = []
+    products = _ProjectiveGroup._products
+
+    def counted(self, x, y):
+        calls.append(np.broadcast(x, y).size)
+        return products(self, x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", block)
+        mp.setattr(_ProjectiveGroup, "_products", counted)
+        with pytest.raises(InvalidModulus, match="^product leaves the group$"):
+            some.mul_indices(a, 1)
+        assert len(calls) == -(-9 // block) > 1 and max(calls) <= block
+        # the closure check of the full constructor raises the same
+        with pytest.raises(InvalidModulus, match="^product leaves the group$"):
+            _ProjectiveGroup(5, entries, name="not a group")
+    with pytest.raises(InvalidModulus, match="^product leaves the group$"):
+        some.mul_indices(a, 1)
+
+
+def test_pgl7_closure_check_memory_is_bounded():
+    # PGL(2,7) (order 336) gets the closure check of all 112,896 products;
+    # in one pass their temporaries took an 11.8 MB peak
+    entries = _pgl2_entries(7)
+    tracemalloc.start()
+    try:
+        g = _ProjectiveGroup(7, entries, name="PGL(2,7)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 336 and g.same_table(build_pgl2(7))
+    assert peak < 3_000_000
 
 
 def test_table_groups_above_the_cap_are_rejected():

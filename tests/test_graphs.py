@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
+from bpcodes import algebra
 from bpcodes.algebra import FiniteGroup, build_pgl2, cyclic_group, unipotent_subgroup
 from bpcodes.errors import (
     BpcodesError,
@@ -42,6 +45,7 @@ from bpcodes.graphs import (
     solve_x2_y2_plus_one,
     strong_neighbor_beta,
     LabeledGraph,
+    _edge_images,
 )
 
 
@@ -937,3 +941,185 @@ def test_reconstruction_and_isomorphism_match_loop_reference(make):
         assert graphs_isomorphic_by_map(x, rec, wrong) == _old_isomorphic(x, rec, wrong)
     flipped = LabeledGraph(x.n, x.edges, x.labels[:, ::-1], x.s)
     assert graphs_isomorphic_by_map(rec, flipped, vmap) == _old_isomorphic(rec, flipped, vmap)
+
+
+# -- edge lookups and action checks a block at a time ---------------------------
+#
+# algebra._INDEX_BLOCK bounds the entries of each block; set to 1..7 it
+# splits these small cases into many blocks, with one group element a
+# block in the action checks.
+
+
+def _pgl5_cayley_graph():
+    group = build_pgl2(5)
+    orders = group.element_orders()
+    x, y = (int(np.argmax(orders == k)) for k in (5, 4))
+    return cayley_graph(group, [x, group.inv(x), y, group.inv(y)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["PGL(2,5)", "PSL(2,7)"]),
+    st.integers(1, 7),
+    npst.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, min_side=0, max_side=6),
+    st.data(),
+)
+def test_blocked_edge_ids_match_one_block(name, block, shapes, data):
+    graph = _pgl5_cayley_graph() if name == "PGL(2,5)" else _psl7_rotation_graph()[0]
+    # vertex 0 and the vertices up to two steps from it, so that many
+    # drawn pairs are edges
+    near = np.unique(graph.edges[graph.edge_at[np.unique(graph.edges[graph.edge_at[0]])]])
+    u, v = (
+        near[data.draw(npst.arrays(np.int64, shape, elements=st.integers(0, len(near) - 1)))]
+        for shape in shapes.input_shapes
+    )
+    want = graph._edge_ids(u, v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", block)
+        got = graph.edge_ids(u, v)
+    assert got.shape == want.shape == shapes.result_shape
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _z3z3_orbit_edges():
+    """Z_3 x Z_3 translating two copies of itself: copy 0 holds the
+    triangles along (0, 1), copy 1 those along (1, 0), and each vertex has
+    an edge to its twin. The first element with an edge inside an orbit,
+    (0, 1), is not the inverse of the last one, (2, 0), and their edges
+    differ."""
+    elems = [(a, b) for a in range(3) for b in range(3)]
+    z3z3 = FiniteGroup(elems, lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3))
+
+    def vid(g, c):
+        return 9 * c + 3 * (g[0] % 3) + g[1] % 3
+
+    edges, labels = [], []
+    for (a, b) in elems:
+        for c, (da, db) in ((0, (0, 1)), (1, (1, 0))):
+            u, v = vid((a, b), c), vid((a + da, b + db), c)
+            edges.append((min(u, v), max(u, v)))
+            labels.append((0, 1) if u < v else (1, 0))
+        edges.append((vid((a, b), 0), vid((a, b), 1)))
+        labels.append((2, 2))
+    graph = LabeledGraph(18, edges, labels, 3)
+    edge_index = {e: k for k, e in enumerate(_pairs(graph.edges))}
+    vperms = [
+        [vid((a + h[0], b + h[1]), c) for c in (0, 1) for (a, b) in elems] for h in elems
+    ]
+    eperms = [
+        [edge_index[tuple(sorted((vp[u], vp[v])))] for u, v in _pairs(graph.edges)] for vp in vperms
+    ]
+    return graph, z3z3, vperms, eperms
+
+
+def _error(make):
+    try:
+        make()
+    except BpcodesError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _fault_cases():
+    """The GraphAction inputs of the rejection tests above, as thunks."""
+    c4 = cycle_labeled_graph(4)
+    refl = [(-v) % 4 for v in range(4)]
+    c4_edge = {e: k for k, e in enumerate(_pairs(c4.edges))}
+    refl_edges = [c4_edge[tuple(sorted((refl[u], refl[v])))] for u, v in _pairs(c4.edges)]
+    c9 = cycle_labeled_graph(9)
+    vperms, eperms = _rotation_tables(c9, [0, 3, 6])
+    relabeled, orbit_edge = _fault_cycle(9, relabel_vertex_zero=True), _fault_cycle(3)
+    return {
+        "vertex fixed point": lambda: GraphAction(
+            c4, cyclic_group(2), [list(range(4)), refl], [list(range(4)), refl_edges]
+        ),
+        "edge fixed point": lambda: GraphAction(
+            complete_graph(2), cyclic_group(2), [[0, 1], [1, 0]], [[0], [0]]
+        ),
+        "edges off the vertex images": lambda: GraphAction(
+            c9, cyclic_group(3), vperms, [eperms[0], eperms[2], eperms[2]]
+        ),
+        "labels not invariant": lambda: GraphAction(
+            relabeled, cyclic_group(3), *_rotation_tables(relabeled, [0, 3, 6])
+        ),
+        "edge inside an orbit": lambda: GraphAction(
+            orbit_edge, cyclic_group(3), *_rotation_tables(orbit_edge, [0, 1, 2])
+        ),
+        "edge inside an orbit of Z3 x Z3": lambda: GraphAction(*_z3z3_orbit_edges()),
+        "not an action": lambda: test_graph_action_table_must_be_an_action(),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("case", sorted(_fault_cases()))
+def test_graph_action_faults_one_element_per_block(case, block):
+    make = _fault_cases()[case]
+    want = _error(make)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", block)
+        assert _error(make) == want
+    assert (want is None) == (case == "not an action")  # that test checks its own raise
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(3, 3), (6, 3), (9, 3), (12, 3), (15, 5), (21, 7)]),
+    st.booleans(),
+    st.integers(1, 7),
+    st.lists(st.tuples(st.sampled_from("vef"), st.integers(0, 6), st.integers(0, 20), st.integers(0, 20)), max_size=3),
+)
+def test_graph_action_first_fault_matches_one_block(cycle, relabel, block, faults):
+    """Rotations of a cycle with up to three entries of the tables
+    overwritten (v: a vertex image, e: an edge image, f: a whole edge row
+    made the identity); every block size reports the same first fault."""
+    ell, m = cycle
+    graph = _fault_cycle(ell, relabel_vertex_zero=relabel)
+    vperms, eperms = _rotation_tables(graph, [k * (ell // m) for k in range(m)])
+    for kind, h, i, value in faults:
+        h %= m
+        if kind == "v":
+            vperms[h][i % ell] = value % ell
+        elif kind == "e":
+            eperms[h][i % ell] = value % ell
+        else:
+            eperms[h] = list(range(ell))
+    want = _error(lambda: GraphAction(graph, cyclic_group(m), vperms, eperms))
+    images = _edge_images(graph, np.array(vperms))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", block)
+        assert _error(lambda: GraphAction(graph, cyclic_group(m), vperms, eperms)) == want
+        assert np.array_equal(_edge_images(graph, np.array(vperms)), images)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_blocked_quotient_check_keeps_the_witness(block):
+    graph, group, gens = _psl7_rotation_graph()
+    sub = unipotent_subgroup(group)
+    want = _error(lambda: cayley_right_action(graph, group, gens, sub))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", block)
+        rep = check_quotient_condition(group, gens, sub)
+        got = _error(lambda: cayley_right_action(graph, group, gens, sub))
+    assert rep.witness == _old_conjugate_witness(group, gens, sub) == (3, 63, 59)
+    assert got == want and want[0] is QuotientConditionViolated
+    assert want[1].endswith("joins a vertex to its own orbit")
+
+
+def test_lps7_action_memory_is_a_small_multiple_of_its_tables():
+    """With a block of at most one group element's edges, as lps(5,37) has
+    at the default block, building the action holds little beyond its
+    vertex and edge tables; the whole-table checks held 9.2 times them."""
+    graph, group, gens = lps_graph(5, 7)
+    sub = unipotent_subgroup(group)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", 1 << 10)
+        tracemalloc.start()
+        try:
+            action = cayley_right_action(graph, group, gens, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    kept = action.vertex_perms.nbytes + action.edge_perms.nbytes
+    assert graph.n_edges > 1 << 9 and kept == 8 * 7 * (336 + 1008)
+    assert peak < 4 * kept
+    _assert_action_matches(action, graph, group, gens, sub)

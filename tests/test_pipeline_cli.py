@@ -158,6 +158,64 @@ def test_cli_spectrum_allows_psl_pairs(capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("lps:5,11,660,6,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--graph", "lps:3,13"],
+        ["spectrum", "--graph", "lps:11,13"],
+        ["spectrum", "--graph", "lps:19,23"],
+        ["build", "--p", "3", "--q", "7"],
+    ],
+    ids=["spectrum-3-13", "spectrum-11-13", "spectrum-19-23", "build-3-7"],
+)
+def test_cli_rejects_p_3_mod_8_as_a_recipe_fault(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path)] if argv[0] == "build" else []
+    assert main(argv + out) == 2
+    assert "invalid recipe: p = 3 mod 8 gives an involutive LPS generator" in capsys.readouterr().err
+
+
+def test_cli_spectrum_accepts_p_7_mod_8(capsys):
+    assert main(["spectrum", "--graph", "lps:7,11"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("lps:7,11,")
+
+
+def test_p_3_mod_8_rule_matches_the_lps_quadruples():
+    """For every odd prime p < 200, some LPS quadruple has a = 0 (a trace-0,
+    involutive generator) exactly when p = 3 mod 8, and exactly those p are
+    rejected."""
+    from bpcodes.algebra import is_prime
+    from bpcodes.graphs import lps_quadruples
+    from bpcodes.pipeline import check_lps_primes
+
+    for p in filter(is_prime, range(3, 200, 2)):
+        has_zero_a = any(quad[0] == 0 for quad in lps_quadruples(p))
+        assert has_zero_a == (p % 8 == 3), p
+        q = next(q for q in range(2 * p + 1, 4 * p) if is_prime(q))
+        if has_zero_a:
+            with pytest.raises(RecipeInvalid, match="involutive LPS generator"):
+                check_lps_primes(p, q)
+        else:
+            check_lps_primes(p, q)
+
+
+def test_build_bundle_solves_the_spectrum_before_the_action(tmp_path, monkeypatch):
+    from bpcodes import pipeline
+
+    calls = []
+    for name in ("second_eigenvalue", "check_quotient_condition", "cayley_right_action", "build_tanner"):
+        fn = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+        )
+    recipe = Recipe(p=5, q=7)
+    pipeline.build_instance(recipe)
+    assert calls == ["check_quotient_condition", "cayley_right_action", "build_tanner"]
+    calls.clear()
+    params = build_bundle(recipe, str(tmp_path)).params
+    assert calls[:2] == ["second_eigenvalue", "check_quotient_condition"]
+    assert calls.count("second_eigenvalue") == 1 and params["lambda2"] < params["ramanujan_bound"]
+
+
 def test_recipe_malformed_cycle_length_is_invalid():
     with pytest.raises(RecipeInvalid, match="malformed cycle length"):
         Recipe(graph="cycle:abc", ell=3, local="rep:2").validated()
