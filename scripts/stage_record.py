@@ -5,9 +5,13 @@
 
 Prints one JSON line per stage with its wall time (``wall_s``), the
 process's high-water mark after it (``ru_maxrss_mb``) and its current
-resident size (``rss_mb``, from /proc/self/statm). Run one process per
-record, under ``ulimit -v`` for the large q. This stands in for a traced
-``bpcodes build`` until the package reports its own stage spans.
+resident size (``rss_mb``, from /proc/self/statm). The last two stages
+write the logical and gauge row files of the bundle to a temporary
+directory and read them back; their records add the tracemalloc peak of
+the stage (``traced_peak_mb``), since the high-water mark is set earlier
+in the build. Run one process per record, under ``ulimit -v`` for the
+large q. This stands in for a traced ``bpcodes build`` until the package
+reports its own stage spans.
 """
 
 import argparse
@@ -15,7 +19,9 @@ import json
 import os
 import resource
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -28,6 +34,7 @@ from bpcodes.graphs import (  # noqa: E402
     lps_graph,
     second_eigenvalue,
 )
+from bpcodes.pipeline import _read_rows, _write_rows  # noqa: E402
 from bpcodes.products import circle_balanced_product, homology_split  # noqa: E402
 from bpcodes.quantum import css_from_complex  # noqa: E402
 from bpcodes.tanner import build_tanner  # noqa: E402
@@ -40,17 +47,33 @@ def rss_mb() -> float:
         return int(f.read().split()[1]) * PAGE_MB
 
 
-def record(stage: str, fn, *args):
+def record(stage: str, fn, *args, traced: bool = False):
+    if traced:
+        tracemalloc.start()
     t0 = time.perf_counter()
     out = fn(*args)
     wall = time.perf_counter() - t0
-    print(json.dumps({
+    line = {
         "stage": stage,
         "wall_s": round(wall, 4),
         "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "rss_mb": round(rss_mb(), 1),
-    }), flush=True)
+    }
+    if traced:
+        line["traced_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
+        tracemalloc.stop()
+    print(json.dumps(line), flush=True)
     return out
+
+
+def write_row_files(out_dir: str, split) -> None:
+    _write_rows(os.path.join(out_dir, "logicals_z.txt"), split.h_reps)
+    _write_rows(os.path.join(out_dir, "gauge_z.txt"), split.v_reps)
+
+
+def read_row_files(out_dir: str, cols: int) -> None:
+    _read_rows(os.path.join(out_dir, "logicals_z.txt"), cols)
+    _read_rows(os.path.join(out_dir, "gauge_z.txt"), cols)
 
 
 def main() -> None:
@@ -71,8 +94,11 @@ def main() -> None:
     tanner = record("build_tanner", build_tanner, graph, code)
     record("second_eigenvalue", second_eigenvalue, graph)
     inst = record("circle_balanced_product", circle_balanced_product, tanner, action)
-    record("homology_split", homology_split, inst)
-    record("css_from_complex", css_from_complex, inst.product.total, 1)
+    split = record("homology_split", homology_split, inst)
+    css = record("css_from_complex", css_from_complex, inst.product.total, 1)
+    with tempfile.TemporaryDirectory() as out_dir:
+        record("write_rows", write_row_files, out_dir, split, traced=True)
+        record("read_rows", read_row_files, out_dir, css.n, traced=True)
 
 
 if __name__ == "__main__":

@@ -127,9 +127,10 @@ def _fill_blocks(fn, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 def index_table(rows, shape: tuple[int, int]) -> np.ndarray | None:
     """rows as a read-only int64 array of the given shape, or None when
-    they are ragged or shaped otherwise."""
+    they are ragged or shaped otherwise. An int64 array is taken as it is,
+    not copied, and made read-only in place."""
     try:
-        table = np.array(rows, dtype=np.int64)
+        table = np.asarray(rows, dtype=np.int64)
     except (TypeError, ValueError):
         return None
     if table.shape != shape:

@@ -9,6 +9,7 @@ are what a Tanner local code attaches to.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,23 +48,20 @@ class LabeledGraph:
 
     edges[e] = (u, v) with u < v and labels[e] = (label at u, label at v),
     as read-only (n_edges, 2) int arrays; edge_at[v, l] is the edge with
-    label l at v, as a read-only (n, s) int array.
+    label l at v, as a read-only (n, s) int array. Edges and labels given
+    as int64 arrays are held as they are, not copied, and made read-only.
     """
 
     def __init__(self, n_vertices: int, edges, labels, degree: int):
         self.n = n_vertices
         self.s = degree
-        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        self.labels = np.array(labels, dtype=np.int64).reshape(-1, 2)
+        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self.labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
         self._validate()
         self.edge_at = np.full((self.n, self.s), -1, dtype=np.int64)
         self.edge_at[self.edges, self.labels] = np.arange(self.n_edges)[:, None]
         for table in (self.edges, self.labels, self.edge_at):
             table.flags.writeable = False
-        # the edge codes u * n + v in sorted order, for vectorised lookups
-        codes = self.edges[:, 0] * self.n + self.edges[:, 1]
-        self._by_code = np.argsort(codes)
-        self._sorted_codes = codes[self._by_code]
 
     def _validate(self) -> None:
         """Raise on the first faulty edge in index order, with the checks of
@@ -75,16 +73,23 @@ class LabeledGraph:
         if self.s < 0:
             raise NotSimpleGraph(f"negative degree {self.s}")
         u, v = self.edges.T
-        ends, labs = self.edges.ravel(), self.labels.ravel()  # u then v of each edge
-        faults = np.column_stack([
-            u == v,
-            (u < 0) | (u >= v) | (v >= self.n),
-            _repeats(u * self.n + v),
-            ((labs < 0) | (labs >= self.s)).reshape(-1, 2),
-            _repeats(ends * self.s + labs).reshape(-1, 2),
-        ])[:, [0, 1, 2, 3, 5, 4, 6]]  # per side: range, then repeat
-        if faults.any():
-            e, check = divmod(int(np.argmax(faults)), faults.shape[1])
+
+        def faults():  # one column per check, built when its turn comes
+            yield u == v
+            yield (u < 0) | (u >= v) | (v >= self.n)
+            yield _repeats(u * self.n + v)
+            outside = (self.labels < 0) | (self.labels >= self.s)
+            # u then v of each edge
+            repeated = _repeats(self.edges.ravel() * self.s + self.labels.ravel()).reshape(-1, 2)
+            for side in (0, 1):
+                yield outside[:, side]
+                yield repeated[:, side]
+
+        e, check = self.n_edges, None
+        for c, column in enumerate(faults()):
+            if column[:e].any():  # a later check wins only at an earlier edge
+                e, check = int(np.argmax(column[:e])), c
+        if check is not None:
             if check == 0:
                 raise SelfLoop(f"edge {e} is a self-loop at {u[e]}")
             if check == 1:
@@ -95,7 +100,7 @@ class LabeledGraph:
             if check % 2:
                 raise NotSimpleGraph(f"label {l} outside [0,{self.s}) at vertex {w}")
             raise NotSimpleGraph(f"label {l} repeated at vertex {w}")
-        if (np.bincount(ends, minlength=self.n) != self.s).any():
+        if (np.bincount(self.edges.ravel(), minlength=self.n) != self.s).any():
             raise NotSimpleGraph("graph is not regular of the declared degree")
 
     @property
@@ -108,13 +113,22 @@ class LabeledGraph:
         not joined."""
         return blockwise(self._edge_ids, u, v)
 
+    @functools.cached_property
+    def _code_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge codes u * n + v in sorted order, and the edge of each;
+        built at the first lookup."""
+        codes = self.edges[:, 0] * self.n + self.edges[:, 1]
+        by_code = np.argsort(codes)
+        return codes[by_code], by_code
+
     def _edge_ids(self, u, v) -> np.ndarray:
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         codes = lo * self.n + hi
         if not self.n_edges:
             return np.full(codes.shape, -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self._sorted_codes, codes), self.n_edges - 1)
-        return np.where(self._sorted_codes[pos] == codes, self._by_code[pos], -1)
+        sorted_codes, by_code = self._code_index
+        pos = np.minimum(np.searchsorted(sorted_codes, codes), self.n_edges - 1)
+        return np.where(sorted_codes[pos] == codes, by_code[pos], -1)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
@@ -124,10 +138,14 @@ class LabeledGraph:
         return a
 
     def adjacency_sparse(self) -> scipy.sparse.csr_matrix:
-        u, v = self.edges.T
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        data = np.ones(len(rows))
-        return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        """The adjacency in canonical CSR (each row's columns increasing),
+        read off ``edge_at``: row v holds the s far ends of v's edges."""
+        u, v = self.edges[self.edge_at, 0], self.edges[self.edge_at, 1]  # [w, l]
+        far = np.where(u == np.arange(self.n)[:, None], v, u)
+        del u, v
+        far.sort(axis=1)
+        indptr = np.arange(self.n + 1) * self.s
+        return scipy.sparse.csr_matrix((np.ones(far.size), far.ravel(), indptr), shape=(self.n, self.n))
 
     def is_connected(self) -> bool:
         """Breadth-first from vertex 0, one frontier of vertices at a time."""
@@ -141,9 +159,12 @@ class LabeledGraph:
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Whether each key occurred at an earlier position."""
-    seen = np.ones(len(keys), dtype=bool)
-    seen[np.unique(keys, return_index=True)[1]] = False
+    """Whether each key occurred at an earlier position: a stable sort puts
+    a key's first position at the head of its run."""
+    order = np.argsort(keys, kind="stable")
+    run = keys[order]
+    seen = np.zeros(len(keys), dtype=bool)
+    seen[order[1:]] = run[1:] == run[:-1]
     return seen
 
 
@@ -155,7 +176,10 @@ def cayley_graph(group: FiniteGroup, gens: list[int]) -> LabeledGraph:
 
     The label of the edge {g, s*g} at g is the index of s in the given
     (symmetric, ordered) generator list. Involutive generators would give
-    one undirected edge two labels at once, so they are rejected.
+    one undirected edge two labels at once, so they are rejected, as is a
+    generator listed twice. Each edge is listed at its smaller end: the
+    pairs (g, s) with s*g > g, row-major over g and the generator index,
+    labeled (index of s, index of s^-1).
     """
     gen_set = set(gens)
     if group.identity in gen_set:
@@ -169,25 +193,15 @@ def cayley_graph(group: FiniteGroup, gens: list[int]) -> LabeledGraph:
     ends = group.mul_indices(np.asarray(gens, dtype=np.int64), every[:, None])  # [g, idx] = s_idx * g
     if (ends == every[:, None]).any():
         raise SelfLoop("a generator fixes a vertex")
-    lo = np.minimum(every[:, None], ends)
-    codes = (lo * group.order + np.maximum(every[:, None], ends)).ravel()
-    # edges in first-seen order over (g, idx), row-major
-    uniq, first, edge_of = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    edge_of = rank[edge_of]
-    # the label at g of edge {g, s*g} is the generator's index; each (edge, side)
-    # is labeled from exactly one (g, idx) unless two generators coincide
-    side = (lo != every[:, None]).ravel()
-    slot = edge_of * 2 + side
-    if np.bincount(slot, minlength=2 * len(uniq)).max(initial=0) > 1:
+    position = {s: idx for idx, s in enumerate(gens)}
+    if len(position) < len(gens):
         raise NotSimpleGraph("two generators produce the same edge")
-    labels = np.full(2 * len(uniq), -1, dtype=np.int64)
-    labels[slot] = np.tile(np.arange(len(gens)), group.order)
-    ordered = uniq[order]
-    edges = np.stack([ordered // group.order, ordered % group.order], axis=1)
-    return LabeledGraph(group.order, edges, labels.reshape(-1, 2), len(gens))
+    g, idx = np.nonzero(ends > every[:, None])
+    edges = np.stack([g, ends[g, idx]], axis=1)
+    del ends, g
+    inverse_label = np.array([position[group.inv(s)] for s in gens], dtype=np.int64)
+    labels = np.stack([idx, inverse_label[idx]], axis=1)
+    return LabeledGraph(group.order, edges, labels, len(gens))
 
 
 # -- LPS generator sets ---------------------------------------------------
@@ -464,7 +478,8 @@ class GraphAction:
     """A free action of a finite group on a labeled graph.
 
     vertex_perms[h, v] and edge_perms[h, e] give the images under the h-th
-    group element, as read-only (order, n) int arrays. Construction checks
+    group element, as read-only (order, n) int arrays; tables given as
+    int64 arrays are held as they are, not copied. Construction checks
     that the vertex permutations form a group action, freeness, that the
     permutations respect incidence, label invariance, and the quotient
     condition (no edge inside a vertex orbit).

@@ -276,31 +276,63 @@ def _safe_beta8(tanner: TannerComplex, lam2, alpha):
     return theorem8_beta(tanner.graph.s, lam2, tanner.local.k, dd, alpha)
 
 
+_ROW_TEXT_BYTES = 1 << 20  # bytes of row text made or parsed at once
+
+
 def _write_rows(path: str, m: F2Matrix) -> None:
-    """One line of ASCII 0/1 characters per matrix row."""
+    """One line of ASCII 0/1 characters per matrix row, written one block
+    of about _ROW_TEXT_BYTES at a time."""
     import numpy as np
 
-    text = np.full((m.rows, m.cols + 1), ord("0"), dtype=np.uint8)
-    text[:, -1] = ord("\n")
-    text[m.nonzeros()] = ord("1")
+    per = max(1, _ROW_TEXT_BYTES // (m.cols + 1))
     with open(path, "wb") as f:
-        f.write(text.tobytes())
+        for lo in range(0, m.rows, per):
+            words = m._packed(lo, min(lo + per, m.rows))
+            bits = np.unpackbits(words.view(np.uint8), axis=1, count=m.cols, bitorder="little")
+            text = np.empty((len(bits), m.cols + 1), dtype=np.uint8)
+            np.add(bits, ord("0"), out=text[:, :-1])
+            text[:, -1] = ord("\n")
+            f.write(text)
 
 
 def _read_rows(path: str, cols: int) -> F2Matrix:
-    """Inverse of _write_rows; blank lines and surrounding whitespace are
-    ignored, and every row must be ``cols`` characters of 0 and 1."""
+    """Inverse of _write_rows, parsed one block of about _ROW_TEXT_BYTES at
+    a time; blank lines and surrounding whitespace are ignored, and every
+    row must be ``cols`` characters of 0 and 1. A row of another length
+    is reported before any character other than 0 and 1, wherever the two
+    occur in the file."""
     import numpy as np
 
+    width = -(-max(cols, 1) // 64) * 8  # bytes of packed words per row
+    per = max(1, _ROW_TEXT_BYTES // max(cols, 1))
+    blocks, lines, foreign = [], [], False
+
+    def pack() -> None:
+        nonlocal foreign
+        text = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), cols)
+        foreign = foreign or bool(((text != ord("0")) & (text != ord("1"))).any())
+        if not foreign:
+            words = np.zeros((len(lines), width), dtype=np.uint8)
+            words[:, : -(-cols // 8)] = np.packbits(text == ord("1"), axis=1, bitorder="little")
+            blocks.append(words.view(np.uint64))
+        lines.clear()
+
     with open(path, "rb") as f:
-        lines = [line.strip() for line in f.read().splitlines()]
-    lines = [line for line in lines if line]
-    if any(len(line) != cols for line in lines):
-        raise BundleCorrupt(f"{path}: rows must have {cols} characters")
-    text = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), cols)
-    if ((text != ord("0")) & (text != ord("1"))).any():
+        for chunk in f:
+            for line in chunk.splitlines():  # as bytes.splitlines: \n, \r\n and \r
+                line = line.strip()
+                if not line:
+                    continue
+                if len(line) != cols:
+                    raise BundleCorrupt(f"{path}: rows must have {cols} characters")
+                lines.append(line)
+                if len(lines) == per:
+                    pack()
+    pack()
+    if foreign:
         raise BundleCorrupt(f"{path}: rows may hold only 0 and 1")
-    return F2Matrix.from_dense(text == ord("1"))
+    data = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    return F2Matrix(len(data), cols, data)
 
 
 def _bundle_hash(*mats: F2Matrix) -> str:

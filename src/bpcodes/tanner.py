@@ -186,8 +186,8 @@ def check_expansion_theorem8(
     )
 
 
-_SCAN_BLOCK = 1 << 15  # chains per block of the exhaustive scan
-_SAMPLE_SLOTS = 1 << 15  # samples x weight cap per chunk of the sampled scan
+_SCAN_BLOCK = 1 << 13  # chains per block of the exhaustive scan
+_SAMPLE_SLOTS = 1 << 13  # samples x weight cap per chunk of the sampled scan
 
 
 def _pack_columns(columns, n):
@@ -222,41 +222,57 @@ def _chain_blocks(words, w, images, last, max_w):
     """Yield (w, images) for the given block of weight-w chains
     (images XOR their columns; ``last`` holds each chain's largest index),
     then for every heavier chain grown from them. A chain extends by each
-    index after its last one, about _SCAN_BLOCK chains a block."""
+    index after its last one. The children come about _SCAN_BLOCK at a
+    time, in two buffers that every block of this level reuses, so a
+    yielded block is valid until the next one."""
     yield w, images
     if w == max_w:
         return
     counts = len(words) - 1 - last
     first = np.cumsum(counts) - counts  # offset of each prefix's first child
     cuts = np.flatnonzero(np.diff(first // _SCAN_BLOCK, prepend=-1)).tolist() + [len(counts)]
+    # a block holds the children of the prefixes whose first child falls in
+    # one window of _SCAN_BLOCK offsets, so at most len(words) more
+    size = min(_SCAN_BLOCK + len(words), int(counts.sum()))
+    grown = np.empty((size, words.shape[1]), dtype=np.uint64)
+    nxt = np.empty(size, dtype=np.int64)
+    shift = last + 1 - first  # child k of prefix i adds the index k + shift[i]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        c = counts[lo:hi]
-        total = int(c.sum())
+        total = int(first[hi - 1] + counts[hi - 1] - first[lo])
         if not total:
             continue
-        nxt = np.arange(total) - np.repeat(first[lo:hi] - first[lo], c) + np.repeat(last[lo:hi] + 1, c)
-        grown = np.repeat(images[lo:hi], c, axis=0) ^ words[nxt]
-        yield from _chain_blocks(words, w + 1, grown, nxt, max_w)
+        parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        g, x = grown[:total], nxt[:total]
+        np.take(shift, parent, out=x)
+        x += np.arange(first[lo], first[lo] + total)
+        np.take(images, parent, axis=0, out=g)
+        g ^= words[x]
+        yield from _chain_blocks(words, w + 1, g, x, max_w)
 
 
 class _WordStream:
     """The 32-bit words that ``Generator.integers`` and ``Generator.choice``
     read from ``default_rng(seed)``: each 64-bit PCG64 output gives its low
-    half, then its high half. ``words`` starts at the first unread word."""
+    half, then its high half. ``words`` starts at the first unread word; it
+    is a view of one buffer that each read-ahead refills in place."""
 
     def __init__(self, seed):
         self._bitgen = np.random.default_rng(seed).bit_generator
-        self.words = np.zeros(0, dtype=np.uint64)
+        self._buf = np.zeros(0, dtype=np.uint64)
+        self.words = self._buf
 
     def extend(self, size: int) -> np.ndarray:
         """Read ahead until at least ``size`` words are buffered."""
-        short = size - len(self.words)
-        if short > 0:
-            raw = self._bitgen.random_raw(-(-short // 2))
-            new = np.empty((len(raw), 2), dtype=np.uint64)
-            new[:, 0] = raw & 0xFFFFFFFF
-            new[:, 1] = raw >> 32
-            self.words = np.concatenate([self.words, new.ravel()])
+        kept = len(self.words)
+        if size > kept:
+            raw = self._bitgen.random_raw(-(-(size - kept) // 2))
+            end = kept + 2 * len(raw)
+            if end > len(self._buf):
+                self._buf = np.empty(end, dtype=np.uint64)
+            self._buf[:kept] = self.words  # the unread words move to the front
+            np.bitwise_and(raw, 0xFFFFFFFF, out=self._buf[kept:end:2])
+            np.right_shift(raw, 32, out=self._buf[kept + 1 : end : 2])
+            self.words = self._buf[:end]
         return self.words
 
 

@@ -1,15 +1,18 @@
+import functools
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from bpcodes import algebra
-from bpcodes.algebra import FiniteGroup, build_pgl2, cyclic_group, unipotent_subgroup
+from bpcodes import algebra, graphs
+from bpcodes.algebra import FiniteGroup, build_pgl2, build_psl2, cyclic_group, unipotent_subgroup
 from bpcodes.errors import (
     BpcodesError,
     Disconnected,
@@ -1123,3 +1126,206 @@ def test_lps7_action_memory_is_a_small_multiple_of_its_tables():
     assert graph.n_edges > 1 << 9 and kept == 8 * 7 * (336 + 1008)
     assert peak < 4 * kept
     _assert_action_matches(action, graph, group, gens, sub)
+
+
+# -- Cayley edges at their smaller end, and the CSR adjacency ---------------------
+
+
+def _graph_digest(graph: LabeledGraph) -> str:
+    h = hashlib.sha256()
+    for table in (graph.edges, graph.labels, graph.edge_at):
+        h.update(str(table.shape).encode() + table.tobytes())
+    return h.hexdigest()
+
+
+_LPS_PINS = {
+    # q: (vertices, edges, digest of edges/labels/edge_at, lambda2 hex);
+    # q = 7 and 13 take the dense eigensolve, q = 17 the Lanczos branch
+    7: (336, 1008, "6a664f09288f39483dd52903b1f94e5208c0deebfc990781663fb8705542bba2", "0x1.000000000000ep+2"),
+    13: (2184, 6552, "e81e0bd67d6599e3e407f28119dd2eac040c6dd8774a7cd6a312e4bb77102257", "0x1.0ffb6d27f61c6p+2"),
+    17: (4896, 14688, "8dada37ec1e3551ad7a00c676d0ef2d63aadaea64e08e4359349de1b450a1e78", "0x1.13c552cf7d847p+2"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_LPS_PINS))
+def test_lps_graph_tables_and_lambda2_are_pinned(q):
+    graph = lps_graph(5, q)[0]
+    n, n_edges, digest, lam2 = _LPS_PINS[q]
+    assert (graph.n, graph.n_edges) == (n, n_edges)
+    assert (graph.n <= graphs.DENSE_EIG_CAP) == (q < 17)
+    assert _graph_digest(graph) == digest
+    assert second_eigenvalue(graph).hex() == lam2
+
+
+def _coo_adjacency(graph: LabeledGraph) -> scipy.sparse.csr_matrix:
+    """The adjacency through a COO round trip, in scipy's canonical CSR."""
+    u, v = graph.edges.T
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(graph.n, graph.n))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lps_graph(5, 7)[0],
+        lambda: lps_graph(5, 13)[0],
+        lambda: lps_graph(5, 17)[0],
+        lambda: cycle_labeled_graph(3),
+        lambda: cycle_labeled_graph(10),
+        lambda: complete_graph(6),
+        petersen,
+        lambda: klein_quartic_graph()[0],
+    ],
+    ids=["lps(5,7)", "lps(5,13)", "lps(5,17)", "C3", "C10", "K6", "Petersen", "Klein"],
+)
+def test_adjacency_sparse_equals_the_coo_built_csr(make):
+    graph = make()
+    got, want = graph.adjacency_sparse(), _coo_adjacency(graph)
+    assert got.shape == want.shape and got.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _unique_cayley_graph(group: FiniteGroup, gens: list[int]) -> LabeledGraph:
+    """The Cayley graph with edges numbered in first-seen order through
+    np.unique over every (g, generator) code, as cayley_graph built it
+    before listing each edge at its smaller end."""
+    gen_set = set(gens)
+    if group.identity in gen_set:
+        raise SelfLoop("identity in the generating set")
+    for s in gens:
+        if group.inv(s) not in gen_set:
+            raise NotSymmetric("generating set is not closed under inverses")
+        if group.inv(s) == s:
+            raise NotSymmetric("involutive generator; labeling convention undefined")
+    every = np.arange(group.order)
+    ends = group.mul_indices(np.asarray(gens, dtype=np.int64), every[:, None])
+    if (ends == every[:, None]).any():
+        raise SelfLoop("a generator fixes a vertex")
+    lo = np.minimum(every[:, None], ends)
+    codes = (lo * group.order + np.maximum(every[:, None], ends)).ravel()
+    uniq, first, edge_of = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    edge_of = rank[edge_of]
+    side = (lo != every[:, None]).ravel()
+    slot = edge_of * 2 + side
+    if np.bincount(slot, minlength=2 * len(uniq)).max(initial=0) > 1:
+        raise NotSimpleGraph("two generators produce the same edge")
+    labels = np.full(2 * len(uniq), -1, dtype=np.int64)
+    labels[slot] = np.tile(np.arange(len(gens)), group.order)
+    ordered = uniq[order]
+    edges = np.stack([ordered // group.order, ordered % group.order], axis=1)
+    return LabeledGraph(group.order, edges, labels.reshape(-1, 2), len(gens))
+
+
+@functools.cache
+def _small_group(name: str) -> FiniteGroup:
+    return build_pgl2(5) if name == "PGL(2,5)" else build_psl2(7)
+
+
+@st.composite
+def _generator_lists(draw):
+    """Element lists of PGL(2,5) or PSL(2,7): often closed under inverses
+    (possibly with involutions), sometimes not, with the identity or a
+    repeated generator put in now and then."""
+    group = _small_group(draw(st.sampled_from(["PGL(2,5)", "PSL(2,7)"])))
+    xs = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4, unique=True))
+    gens = list(xs)
+    if draw(st.integers(0, 3)):  # close under inverses
+        gens += [group.inv(x) for x in xs if group.inv(x) not in xs]
+    gens = draw(st.permutations(gens))
+    extra = draw(st.sampled_from(["none", "none", "identity", "repeat"]))
+    if extra == "identity":
+        gens.insert(draw(st.integers(0, len(gens))), group.identity)
+    elif extra == "repeat":
+        gens.insert(draw(st.integers(0, len(gens))), gens[draw(st.integers(0, len(gens) - 1))])
+    return group, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists())
+def test_cayley_graph_matches_the_unique_construction(case):
+    group, gens = case
+    want = _outcome(lambda: _graph_fields(_unique_cayley_graph(group, gens)))
+    got = _outcome(lambda: _graph_fields(cayley_graph(group, gens)))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["PGL(2,5)", "PSL(2,7)"])
+def test_cayley_graph_rejects_a_repeated_generator(name):
+    group = _small_group(name)
+    x = int(np.argmax(group.element_orders() > 2))
+    gens = [x, group.inv(x), x]
+    for build in (cayley_graph, _unique_cayley_graph):
+        with pytest.raises(NotSimpleGraph, match="^two generators produce the same edge$"):
+            build(group, gens)
+
+
+def test_lps17_graph_memory_is_bounded():
+    """Listing each edge at its smaller end needs no sort of every
+    (g, generator) code: the build holds little beyond a block of the
+    group's products and the graph's own tables (parent 4.3 MB, change
+    1.7 MB)."""
+    group = build_pgl2(17)
+    gens = group.indices_of(lps_generators(5, 17)).tolist()
+    tracemalloc.start()
+    try:
+        graph = cayley_graph(group, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = graph.edges.nbytes + graph.labels.nbytes + graph.edge_at.nbytes
+    assert kept == 3 * 8 * 14688 * 2
+    assert peak < 2.5e6
+
+
+# -- action tables taken in place --------------------------------------------------
+
+
+def test_graph_action_takes_fresh_int64_tables_in_place():
+    graph, group, gens = lps_graph(5, 7)
+    sub = unipotent_subgroup(group)
+    vperms = group.mul_indices(np.arange(group.order), group.indices_of(sub)[:, None])
+    eperms = _edge_images(graph, vperms)
+    kept = vperms.nbytes + eperms.nbytes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_INDEX_BLOCK", 1 << 10)
+        tracemalloc.start()
+        try:
+            action = GraphAction(graph, sub, vperms, eperms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert action.vertex_perms is vperms and action.edge_perms is eperms
+    assert not vperms.flags.writeable and not eperms.flags.writeable
+    # copies of both tables alone would make the peak at least twice them
+    # (parent 182 KB for 75 KB of tables, change 107 KB)
+    assert peak < 2 * kept
+    _assert_action_matches(action, graph, group, gens, sub)
+
+
+def test_graph_action_rejects_ragged_and_misshaped_tables():
+    from bpcodes.errors import NotFree
+
+    c9 = cycle_labeled_graph(9)
+    vperms, eperms = _rotation_tables(c9, [0, 3, 6])
+    v, e = np.array(vperms), np.array(eperms)
+    GraphAction(c9, cyclic_group(3), v.copy(), e.copy())
+    vertex_faults = [
+        vperms[:2] + [vperms[2][:-1]],  # ragged
+        v[:, :-1].copy(),  # one column short
+        np.hstack([v, v[:, :1]]),  # one column long
+        v[:2].copy(),  # one element short
+        v.ravel().copy(),  # flat
+        v.astype(np.int32),
+    ]
+    for bad in vertex_faults[:-1]:
+        with pytest.raises(NotFree, match="^vertex permutations are not a group action$"):
+            GraphAction(c9, cyclic_group(3), bad, e.copy())
+    GraphAction(c9, cyclic_group(3), vertex_faults[-1], e.copy())  # converted, still an action
+    for bad in (eperms[:2] + [eperms[2][:-1]], e[:, :-1].copy(), e[:2].copy()):
+        with pytest.raises(NotFree, match="^edge permutations are not a table of edge indices$"):
+            GraphAction(c9, cyclic_group(3), v.copy(), bad)

@@ -494,3 +494,82 @@ def test_bundle_files_are_pinned(tmp_path, recipe, digests):
         for name in sorted(os.listdir(tmp_path))
     }
     assert got == digests
+
+
+# -- row files a block at a time ----------------------------------------------
+
+
+def _whole_file_write_rows(path, m):
+    """The row writer that built the whole file in memory at once."""
+    text = np.full((m.rows, m.cols + 1), ord("0"), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    text[m.nonzeros()] = ord("1")
+    with open(path, "wb") as f:
+        f.write(text.tobytes())
+
+
+def _whole_file_read_rows(path, cols):
+    """The row reader that read and checked the whole file at once."""
+    with open(path, "rb") as f:
+        lines = [line.strip() for line in f.read().splitlines()]
+    lines = [line for line in lines if line]
+    if any(len(line) != cols for line in lines):
+        raise BundleCorrupt(f"{path}: rows must have {cols} characters")
+    text = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), cols)
+    if ((text != ord("0")) & (text != ord("1"))).any():
+        raise BundleCorrupt(f"{path}: rows may hold only 0 and 1")
+    return F2Matrix.from_dense(text == ord("1"))
+
+
+def _read_outcome(read, path, cols):
+    try:
+        m = read(path, cols)
+    except BpcodesError as exc:
+        return type(exc), str(exc)
+    return m.rows, m.cols, m.data.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.sampled_from([0, 1, 5, 63, 64, 65, 130]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 7, 1 << 20]),
+)
+def test_row_files_match_the_whole_file_rows(rows, cols, seed, block):
+    from bpcodes import pipeline
+
+    m = F2Matrix.from_dense(np.random.default_rng(seed).integers(0, 2, (rows, cols), dtype=np.uint8))
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = os.path.join(tmp, "want.txt"), os.path.join(tmp, "got.txt")
+        _whole_file_write_rows(want, m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_ROW_TEXT_BYTES", block)
+            pipeline._write_rows(got, m)
+            with open(want, "rb") as a, open(got, "rb") as b:
+                assert a.read() == b.read()
+            assert _read_outcome(pipeline._read_rows, got, cols) == _read_outcome(
+                _whole_file_read_rows, want, cols
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(list(b"0000011111 \t\r\n\x0b\x0c2x")), max_size=12), max_size=12),
+    st.sampled_from([0, 1, 3, 4, 5]),
+    st.sampled_from([1, 2, 3, 7, 1 << 20]),
+)
+def test_row_reader_faults_match_the_whole_file_reader(lines, cols, block):
+    """Files of 0, 1, whitespace of every kind, line breaks of every kind
+    and foreign bytes: the same rows or the same error, whichever of a
+    wrong length and a foreign byte comes first in the file."""
+    from bpcodes import pipeline
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.txt")
+        with open(path, "wb") as f:
+            f.write(b"\n".join(bytes(line) for line in lines))
+        want = _read_outcome(_whole_file_read_rows, path, cols)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_ROW_TEXT_BYTES", block)
+            assert _read_outcome(pipeline._read_rows, path, cols) == want

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bpcodes.classical import (
 )
 from bpcodes.errors import DegreeMismatch
 from bpcodes.f2la import F2Matrix, kernel_basis
-from bpcodes.graphs import LabeledGraph, cycle_labeled_graph, second_eigenvalue
+from bpcodes.graphs import LabeledGraph, complete_graph, cycle_labeled_graph, second_eigenvalue
 from bpcodes import tanner
 from bpcodes.tanner import (
     build_tanner,
@@ -487,3 +488,66 @@ def test_klein_differentials_match_loop_reference(pattern):
     from bpcodes.graphs import klein_quartic_graph
 
     _assert_reflection_and_differential_match(klein_quartic_graph()[0], pattern, hamming_7_4())
+
+
+# -- scan buffers ----------------------------------------------------------------
+#
+# tanner._SCAN_BLOCK and tanner._SAMPLE_SLOTS bound the buffers of the two
+# scans; set to 1..7 they split these instances into many small blocks.
+
+
+def _scan_instances():
+    return {
+        "klein": (_klein_search(), 0.1, 2, 0.08, 2),
+        "K4": (build_tanner(complete_graph(4), repetition_code(3)), 0.5, 2, 0.5, 2),
+        "C9": (build_tanner(cycle_labeled_graph(9), repetition_code(2)), 0.5, 3, 0.5, 2),
+    }
+
+
+def _reports(t, alpha7, cap7, alpha8, cap8, seed):
+    lam2 = second_eigenvalue(t.graph)
+    return (
+        check_expansion_theorem7(t, alpha=alpha7, exhaustive_cap=cap7, samples=300, seed=seed, lam2=lam2),
+        check_expansion_theorem8(t, alpha=alpha8, exhaustive_cap=cap8, samples=300, seed=seed, lam2=lam2),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 21, 1021])
+@pytest.mark.parametrize("name", ["klein", "K4", "C9"])
+def test_expansion_reports_do_not_depend_on_the_buffer_sizes(name, seed):
+    case = _scan_instances()[name]
+    want = _reports(*case, seed)
+    assert all(r.n_enumerated and r.n_sampled == 300 for r in want)
+    for block in range(1, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tanner, "_SCAN_BLOCK", block)
+            mp.setattr(tanner, "_SAMPLE_SLOTS", block)
+            assert _reports(*case, seed) == want
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "scan",
+    ["t7 exhaustive", "t8 exhaustive", "t7 sampled", "t8 sampled"],
+)
+def test_klein_scan_memory_is_bounded(scan):
+    """The scans of the bounds suite, each with its own tracemalloc peak:
+    at the former 2^15-entry buffers 3.6, 2.0, 4.2 and 4.3 MB, at 2^13
+    about 1.1, 0.6, 1.1 and 1.1 MB."""
+    d = _klein_search().differential()
+    cols, rows = d._transposed_data(), d.row_ints()
+    run = {
+        "t7 exhaustive": lambda: tanner._scan_exhaustive(cols, 84, 1.0, 4),
+        "t8 exhaustive": lambda: tanner._scan_exhaustive(rows, 72, 1.0, 3),
+        "t7 sampled": lambda: tanner._scan_samples(cols, 84, 1.0, 5, 8, 20_000, 21),
+        "t8 sampled": lambda: tanner._scan_samples(rows, 72, 1.0, 4, 5, 20_000, 21),
+    }[scan]
+    assert _traced_peak(run) < 1.8e6
