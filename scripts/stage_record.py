@@ -87,12 +87,12 @@ def main() -> None:
     print(json.dumps({"stage": "start", "p": args.p, "q": args.q, "local": local,
                       "rss_mb": round(rss_mb(), 1)}), flush=True)
     graph, group, gens = record("lps_graph", lps_graph, args.p, args.q)
+    record("second_eigenvalue", second_eigenvalue, graph)  # first, as in build_bundle
     sub = unipotent_subgroup(group)
     record("check_quotient_condition", check_quotient_condition, group, gens, sub)
     action = record("cayley_right_action", cayley_right_action, graph, group, gens, sub)
     code = record("local_code_from_spec", local_code_from_spec, local)
     tanner = record("build_tanner", build_tanner, graph, code)
-    record("second_eigenvalue", second_eigenvalue, graph)
     inst = record("circle_balanced_product", circle_balanced_product, tanner, action)
     split = record("homology_split", homology_split, inst)
     css = record("css_from_complex", css_from_complex, inst.product.total, 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,9 +318,7 @@ def second_eigenvalue(x: LabeledGraph, tol: float = EIG_TOL) -> float:
     if x.n <= 2:
         raise DomainError("graph too small for a second eigenvalue")
     if x.n <= DENSE_EIG_CAP:
-        # the transpose of the symmetric adjacency is the same matrix in
-        # Fortran order, which LAPACK overwrites in place without a copy
-        vals = scipy.linalg.eigvalsh(x.adjacency().T, overwrite_a=True, check_finite=False)
+        vals = _dense_spectrum(x)
         top, second = vals[-1], vals[-2]
     else:
         a = x.adjacency_sparse()
@@ -335,6 +334,30 @@ def second_eigenvalue(x: LabeledGraph, tol: float = EIG_TOL) -> float:
     if abs(second - x.s) <= tol:
         raise Disconnected("degree eigenvalue has multiplicity > 1")
     return float(second)
+
+
+def _dense_spectrum(x: LabeledGraph) -> np.ndarray:
+    """All adjacency eigenvalues of x, ascending, from one LAPACK solve
+    that reads the lower triangle only.
+
+    Each edge's one is written at (min, max) of a C-order buffer, whose
+    transpose is the Fortran-order matrix with those ones in its lower
+    triangle, solved in place without a copy. The buffer is an anonymous
+    mapping kept off huge pages, so the pages of the other triangle are
+    never faulted in: about n^2 * 4 bytes plus a page per row, where the
+    whole matrix is n^2 * 8.
+    """
+    n = x.n
+    buf = mmap.mmap(-1, n * n * 8)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    a = np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+    u, v = x.edges.T
+    a[np.minimum(u, v), np.maximum(u, v)] = 1.0
+    vals = scipy.linalg.eigvalsh(a.T, lower=True, overwrite_a=True, check_finite=False)
+    del a  # close() refuses while an array still holds the mapping
+    buf.close()
+    return vals
 
 
 # -- expansion bound formulas ---------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .algebra import is_prime, legendre, unipotent_subgroup
 from .classical import dual_distance, local_code_from_spec
 from .errors import BpcodesError, BundleCorrupt, DegreeMismatch, RecipeInvalid
-from .f2la import F2Matrix, IncrementalSpan, rank, read_alist, write_alist
+from .f2la import F2Matrix, IncrementalSpan, _n_words, rank, read_alist, write_alist
 from .graphs import (
     GraphAction,
     LabeledGraph,
@@ -297,27 +297,31 @@ def _write_rows(path: str, m: F2Matrix) -> None:
 
 def _read_rows(path: str, cols: int) -> F2Matrix:
     """Inverse of _write_rows, parsed one block of about _ROW_TEXT_BYTES at
-    a time; blank lines and surrounding whitespace are ignored, and every
-    row must be ``cols`` characters of 0 and 1. A row of another length
-    is reported before any character other than 0 and 1, wherever the two
-    occur in the file."""
+    a time into one packed array sized from the file's length; blank lines
+    and surrounding whitespace are ignored, and every row must be ``cols``
+    characters of 0 and 1. A row of another length is reported before any
+    character other than 0 and 1, wherever the two occur in the file."""
     import numpy as np
 
-    width = -(-max(cols, 1) // 64) * 8  # bytes of packed words per row
     per = max(1, _ROW_TEXT_BYTES // max(cols, 1))
-    blocks, lines, foreign = [], [], False
+    lines, rows, foreign = [], 0, False
 
     def pack() -> None:
-        nonlocal foreign
+        nonlocal rows, foreign
         text = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), cols)
-        foreign = foreign or bool(((text != ord("0")) & (text != ord("1"))).any())
-        if not foreign:
-            words = np.zeros((len(lines), width), dtype=np.uint8)
-            words[:, : -(-cols // 8)] = np.packbits(text == ord("1"), axis=1, bitorder="little")
-            blocks.append(words.view(np.uint64))
         lines.clear()
+        # two reductions, where comparisons would allocate a mask each
+        zero, one = ord("0"), ord("1")
+        foreign = foreign or text.min(initial=zero) < zero or text.max(initial=one) > one
+        if not foreign:
+            bits = np.packbits(text == one, axis=1, bitorder="little")
+            data.view(np.uint8)[rows : rows + len(text), : bits.shape[1]] = bits
+        rows += len(text)
 
     with open(path, "rb") as f:
+        # each row is cols characters and a line break, bar the last one
+        size = os.fstat(f.fileno()).st_size
+        data = np.zeros(((size + 1) // (cols + 1) if cols else 0, _n_words(cols)), dtype=np.uint64)
         for chunk in f:
             for line in chunk.splitlines():  # as bytes.splitlines: \n, \r\n and \r
                 line = line.strip()
@@ -331,8 +335,7 @@ def _read_rows(path: str, cols: int) -> F2Matrix:
     pack()
     if foreign:
         raise BundleCorrupt(f"{path}: rows may hold only 0 and 1")
-    data = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-    return F2Matrix(len(data), cols, data)
+    return F2Matrix(rows, cols, data[:rows])
 
 
 def _bundle_hash(*mats: F2Matrix) -> str:

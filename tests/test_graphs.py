@@ -1,6 +1,9 @@
 import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -174,6 +177,74 @@ def test_second_eigenvalue_equals_the_plain_dense_solve(make):
     u, v = np.nonzero(np.triu(a))
     assert sorted(zip(u.tolist(), v.tolist())) == sorted(_pairs(g.edges))
     assert (g.adjacency_sparse().toarray() == a).all()
+
+
+def _relisted(g: LabeledGraph, seed: int, flip: str) -> LabeledGraph:
+    """g with its edge rows shuffled (seed > 0) and flipped to larger end
+    first ("all", "some" at random, or "none"), labels kept with their
+    ends. A flipped graph is assembled past the constructor, which wants
+    the smaller end first."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(g.n_edges) if seed else np.arange(g.n_edges)
+    edges, labels = g.edges[order], g.labels[order]
+    turn = {"all": np.ones(g.n_edges, dtype=bool), "some": rng.random(g.n_edges) < 0.5,
+            "none": np.zeros(g.n_edges, dtype=bool)}[flip]
+    edges[turn], labels[turn] = edges[turn, ::-1], labels[turn, ::-1]
+    if not turn.any():
+        return LabeledGraph(g.n, edges, labels, g.s)
+    h = object.__new__(LabeledGraph)
+    h.n, h.s, h.edges, h.labels = g.n, g.s, edges, labels
+    h.edge_at = np.full((g.n, g.s), -1, dtype=np.int64)
+    h.edge_at[edges, labels] = np.arange(g.n_edges)[:, None]
+    return h
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: lps_graph(5, 7)[0], lambda: cycle_labeled_graph(12), lambda: complete_graph(9)],
+)
+@pytest.mark.parametrize("seed, flip", [(0, "all"), (3, "none"), (5, "some"), (11, "all")])
+def test_dense_spectrum_does_not_depend_on_how_edges_are_listed(make, seed, flip):
+    # the lower-triangle fill puts each edge at (min, max) whichever end comes first
+    g = make()
+    h = _relisted(g, seed, flip)
+    assert (h.adjacency() == g.adjacency()).all()
+    lam2 = second_eigenvalue(h)
+    assert lam2 == float(scipy.linalg.eigvalsh(h.adjacency())[-2])
+    assert lam2.hex() == second_eigenvalue(g).hex()
+
+
+_EIGENSOLVE_RISE = """
+from bpcodes.graphs import lps_graph, second_eigenvalue
+
+def hwm_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+g = lps_graph(5, 13)[0]
+before = hwm_kib()
+second_eigenvalue(g)
+print(g.n, hwm_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_dense_eigensolve_touches_about_half_the_matrix():
+    """The high-water mark of a fresh interpreter rises by less than
+    0.8 n^2 * 8 bytes across the dense solve of lps(5,13) (n = 2184): the
+    lower triangle's pages, about n^2 * 4 bytes plus a page per row, not
+    the whole matrix. The mark is VmHWM, which starts afresh at exec where
+    ru_maxrss keeps the mark of the process that started the child. BLAS
+    runs on one thread, so that no per-thread buffers count."""
+    src = os.path.dirname(os.path.dirname(graphs.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _EIGENSOLVE_RISE], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout.split()
+    n, rise_kib = int(out[0]), int(out[1])
+    assert n == 2184
+    assert rise_kib * 1024 < 0.8 * n * n * 8, rise_kib / 1024
+
 
 def test_disconnected_detected():
     # two disjoint triangles

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -573,3 +574,26 @@ def test_row_reader_faults_match_the_whole_file_reader(lines, cols, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "_ROW_TEXT_BYTES", block)
             assert _read_outcome(pipeline._read_rows, path, cols) == want
+
+
+def test_row_reader_holds_the_rows_once():
+    """The reader's traced peak stays near the packed rows themselves: at
+    most 1.25x their size plus a few blocks of text in flight (a block's
+    lines, their join and its bits), where a list of packed blocks and
+    their concatenation would hold the rows twice."""
+    from bpcodes import pipeline
+
+    block = 1 << 14
+    m = F2Matrix.from_dense(np.random.default_rng(7).integers(0, 2, (2000, 4000), dtype=np.uint8))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_ROW_TEXT_BYTES", block)
+        path = os.path.join(tmp, "rows.txt")
+        pipeline._write_rows(path, m)
+        tracemalloc.start()
+        try:
+            got = pipeline._read_rows(path, m.cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == m
+    assert peak < 1.25 * m.data.nbytes + 4 * block, (peak, m.data.nbytes)
