@@ -13,6 +13,19 @@ hold packed words ``data``: uint64, 64 entries per word, LSB-first, one
 row of words per matrix row. Either layout is derived from the other on
 demand and not kept, so ``data`` is valid on every matrix.
 
+One-word matrices, whose rows fit one word (``cols <= 64``), run on
+Python ints instead: their words are the column ``data[:, 0]``, read
+with one ``tolist()`` and written with one ``np.array``. Row reads and
+writes and the eliminations below take that path on the column count
+alone. The structural ops (``zeros``, ``identity``, ``from_entries``,
+``nonzeros``, ``transpose``, ``matmul``, ``vstack``, ``submatrix_rows``,
+``==``) take it when the operands also have at most ``_WORD_ROWS`` rows,
+and then return packed words; taller operands keep CSR and the
+vectorised paths. The choice follows the operand shapes alone. In the
+small verification suites about 94% of the GF(2) time was on one-word
+matrices, where numpy's per-call overhead (10-140 us an op) outweighed
+the work; on the lps(5,13) build about 1% was.
+
 Elimination (``rank``, ``rref``, ``kernel_basis``, ``solve``,
 ``solve_matrix``) runs on rows held as Python-int bitsets, packed from
 either layout one block of rows at a time (``iter_row_ints``): a forward
@@ -49,10 +62,22 @@ _WORD = 64
 _ONE = np.uint64(1)
 _PRODUCT_PAIRS = 1 << 19  # (row, col) pairs a matmul sorts at once (4 MB a key array)
 _STREAM_BYTES = 1 << 20  # bytes of packed rows built at once by iter_row_blocks
+_WORD_ROWS = 64  # rows up to which a one-word matrix runs on Python ints (see _one_word)
 
 
 def _n_words(cols: int) -> int:
     return max(1, (cols + _WORD - 1) // _WORD)
+
+
+def _one_word(rows: int, cols: int) -> bool:
+    """Whether a rows x cols operand of a structural op runs on Python-int
+    rows: each row fits one word and there are at most _WORD_ROWS rows.
+    Python work grows with the ones, numpy's with its per-call overhead:
+    a product of sparse one-word factors (2-4 ones a row, 14-64 columns)
+    costs the same both ways at 64-128 rows, and at 512 rows the
+    sorted-pair path is 2-3x faster (1.5x slower only for denser right
+    factors)."""
+    return cols <= _WORD and rows <= _WORD_ROWS
 
 
 def _bit_masks(cols: np.ndarray) -> np.ndarray:
@@ -154,14 +179,36 @@ class F2Matrix:
         """CSR from in-range (row, col) index arrays; duplicates cancel."""
         return F2Matrix._from_keys(rows, cols, _odd_keys(r * max(cols, 1) + c))
 
+    @staticmethod
+    def _from_ints(int_rows: list[int], cols: int) -> "F2Matrix":
+        """Packed words of bitset rows that fit ``cols`` columns, unchecked:
+        one np.array call when a row fits one word."""
+        if cols <= _WORD:
+            m = object.__new__(F2Matrix)
+            m.rows, m.cols, m._indptr, m._indices = len(int_rows), cols, None, None
+            m._data = np.array(int_rows, dtype=np.uint64).reshape(-1, 1)
+            m._data.flags.writeable = False
+            return m
+        width = _n_words(cols) * 8
+        # fill one buffer row by row: no list of per-row byte strings
+        raw = bytearray(len(int_rows) * width)
+        for i, r in enumerate(int_rows):
+            raw[i * width : (i + 1) * width] = r.to_bytes(width, "little")
+        data = np.frombuffer(raw, dtype=np.uint64).reshape(len(int_rows), width // 8)
+        return F2Matrix(len(int_rows), cols, data)
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "F2Matrix":
+        if _one_word(rows, cols):
+            return F2Matrix._from_ints([0] * rows, cols)
         return F2Matrix._csr(rows, cols, np.zeros(rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @staticmethod
     def identity(n: int) -> "F2Matrix":
+        if _one_word(n, n):
+            return F2Matrix._from_ints([1 << i for i in range(n)], n)
         return F2Matrix._csr(n, n, np.arange(n + 1), np.arange(n))
 
     @staticmethod
@@ -180,16 +227,11 @@ class F2Matrix:
     @staticmethod
     def from_rows(int_rows: list[int], cols: int) -> "F2Matrix":
         """Build packed words from Python ints used as little-endian bitsets."""
-        for i, r in enumerate(int_rows):
-            if r < 0 or (cols < r.bit_length()):
-                raise DimensionMismatch(f"row {i} does not fit in {cols} columns")
-        width = _n_words(cols) * 8
-        # fill one buffer row by row: no list of per-row byte strings
-        raw = bytearray(len(int_rows) * width)
-        for i, r in enumerate(int_rows):
-            raw[i * width : (i + 1) * width] = r.to_bytes(width, "little")
-        data = np.frombuffer(raw, dtype=np.uint64).reshape(len(int_rows), width // 8)
-        return F2Matrix(len(int_rows), cols, data)
+        int_rows = list(int_rows)
+        if int_rows and (min(int_rows) < 0 or max(int_rows) >> cols):
+            i = next(i for i, r in enumerate(int_rows) if r < 0 or r >> cols)
+            raise DimensionMismatch(f"row {i} does not fit in {cols} columns")
+        return F2Matrix._from_ints(int_rows, cols)
 
     @staticmethod
     def from_entries(rows: int, cols: int, ones) -> "F2Matrix":
@@ -206,11 +248,17 @@ class F2Matrix:
             r, c = pairs[:, 0], pairs[:, 1]
         if r.shape != c.shape:
             raise DimensionMismatch("row and column index arrays differ in length")
-        bad = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
-        if len(bad):
+        r, c = r.ravel(), c.ravel()
+        # as uint64, a negative index is out of range too
+        if len(r) and (r.view(np.uint64).max() >= rows or c.view(np.uint64).max() >= cols):
+            bad = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
             i, j = int(r[bad[0]]), int(c[bad[0]])
             raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-        return F2Matrix._from_pairs(rows, cols, r.ravel(), c.ravel())
+        if _one_word(rows, cols):
+            words = np.zeros((rows, 1), dtype=np.uint64)
+            np.bitwise_xor.at(words[:, 0], r, _bit_masks(c))
+            return F2Matrix(rows, cols, words)
+        return F2Matrix._from_pairs(rows, cols, r, c)
 
     # -- layouts ------------------------------------------------------
 
@@ -255,13 +303,21 @@ class F2Matrix:
         return int.from_bytes(self._packed(i, i + 1).tobytes(), "little")
 
     def row_ints(self) -> list[int]:
+        if self.cols <= _WORD:  # one tolist() of the words
+            return (self._packed(0, self.rows) if self._data is None else self._data)[:, 0].tolist()
         return list(self.iter_row_ints())
 
     def iter_row_ints(self):
         """The rows as Python-int bitsets, in order, converted from one
-        ``tobytes()`` of each block of ``iter_row_blocks``."""
+        ``tolist()`` (one word a row) or ``tobytes()`` of each block of
+        ``iter_row_blocks``."""
         width = _n_words(self.cols) * 8
+        per = max(1, _STREAM_BYTES // 40)  # one-word rows a tolist() makes: 40 bytes an int in its list
         for block in self.iter_row_blocks():
+            if width == 8:
+                for lo in range(0, len(block), per):
+                    yield from block[lo : lo + per, 0].tolist()
+                continue
             buf = block.tobytes()
             for off in range(0, len(buf), width):
                 yield int.from_bytes(buf[off : off + width], "little")
@@ -274,6 +330,9 @@ class F2Matrix:
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 (row, col) index arrays of the ones, in row-major order."""
         if self._indices is None:
+            if _one_word(self.rows, self.cols):
+                bits = np.unpackbits(self._data.view(np.uint8), axis=1, count=self.cols, bitorder="little")
+                return bits.nonzero()
             return _packed_nonzeros(self._data)
         ptr = self._indptr
         return np.arange(self.rows).repeat(ptr[1:] - ptr[:-1]), self._indices
@@ -286,11 +345,15 @@ class F2Matrix:
         return np.bincount(self._sparse()[1], minlength=self.cols)
 
     def is_zero(self) -> bool:
-        return not len(self._sparse()[1])
+        if self._indices is None:
+            return not self._data.any()
+        return not len(self._indices)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, F2Matrix) and (self.rows, self.cols) == (other.rows, other.cols)):
             return False
+        if _one_word(self.rows, self.cols):
+            return self.row_ints() == other.row_ints()
         (p, i), (q, j) = self._sparse(), other._sparse()
         return bool(np.array_equal(p, q) and np.array_equal(i, j))
 
@@ -304,10 +367,20 @@ class F2Matrix:
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "F2Matrix":
-        r, c = self.nonzeros()
-        key = c * max(self.rows, 1) + r
-        key.sort()
-        t = F2Matrix._from_keys(self.cols, self.rows, key)
+        if _one_word(self.rows, self.cols) and _one_word(self.cols, self.rows):
+            cols = [0] * self.cols
+            for i, w in enumerate(self.row_ints()):
+                bit = 1 << i
+                while w:
+                    low = w & -w
+                    cols[low.bit_length() - 1] |= bit
+                    w ^= low
+            t = F2Matrix._from_ints(cols, self.rows)
+        else:
+            r, c = self.nonzeros()
+            key = c * max(self.rows, 1) + r
+            key.sort()
+            t = F2Matrix._from_keys(self.cols, self.rows, key)
         t._rank = getattr(self, "_rank", None)  # rank(m^T) = rank(m)
         return t
 
@@ -326,6 +399,17 @@ class F2Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if _one_word(self.rows, self.cols) and _one_word(other.rows, other.cols):
+            right = other.row_ints()
+            out = []
+            for w in self.row_ints():
+                acc = 0
+                while w:
+                    low = w & -w
+                    acc ^= right[low.bit_length() - 1]
+                    w ^= low
+                out.append(acc)
+            return F2Matrix._from_ints(out, other.cols)
         ptr, idx = other._sparse()
         r, c = self.nonzeros()
         if not (len(r) and len(idx)):
@@ -374,13 +458,21 @@ class F2Matrix:
     def vstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
+        if _one_word(self.rows, self.cols) and _one_word(other.rows, other.cols):
+            return F2Matrix._from_ints(self.row_ints() + other.row_ints(), self.cols)
         (p, i), (q, j) = self._sparse(), other._sparse()
         return F2Matrix._csr(
             self.rows + other.rows, self.cols, np.concatenate([p, q[1:] + p[-1]]), np.concatenate([i, j])
         )
 
     def submatrix_rows(self, idx) -> "F2Matrix":
-        idx = np.asarray(idx, dtype=np.int64)
+        """The rows at ``idx``, in its order, repeats allowed."""
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        if len(idx) and not (0 <= idx.min() and idx.max() < self.rows):
+            raise DimensionMismatch(f"row indices must lie in range({self.rows})")
+        if _one_word(self.rows, self.cols):
+            words = self.row_ints()
+            return F2Matrix._from_ints([words[i] for i in idx.tolist()], self.cols)
         ptr, indices = self._sparse()
         n = ptr[idx + 1] - ptr[idx]
         out = np.zeros(len(idx) + 1, dtype=np.int64)
@@ -391,10 +483,22 @@ class F2Matrix:
     def permuted(self, row_perm, col_perm) -> "F2Matrix":
         """Rows and columns relocated: entry (i, j) moves to
         (row_perm[i], col_perm[j])."""
+        rp = _permutation(row_perm, self.rows, "row")
+        cp = _permutation(col_perm, self.cols, "column")
         r, c = self.nonzeros()
-        rp = np.asarray(row_perm, dtype=np.int64)
-        cp = np.asarray(col_perm, dtype=np.int64)
         return F2Matrix._from_pairs(self.rows, self.cols, rp[r], cp[c])
+
+
+def _permutation(perm, n: int, what: str) -> np.ndarray:
+    """``perm`` as an int64 array, checked to be a permutation of range(n)."""
+    p = np.asarray(perm, dtype=np.int64)
+    if p.shape != (n,) or (n and not (0 <= p.min() and p.max() < n)):
+        raise DimensionMismatch(f"{what} map is not a permutation of range({n})")
+    seen = np.zeros(n, dtype=bool)
+    seen[p] = True
+    if not seen.all():
+        raise DimensionMismatch(f"{what} map is not a permutation of range({n})")
+    return p
 
 
 def _reduced_rows(rows) -> tuple[list[int], list[int]]:
@@ -443,7 +547,7 @@ def _end_bits_distinct(m: F2Matrix) -> bool:
 def rref(m: F2Matrix) -> tuple[F2Matrix, list[int]]:
     """Reduced row echelon form and the pivot columns (zero rows dropped)."""
     rows, pivots = _reduced_rows(m.iter_row_ints())
-    return F2Matrix.from_rows(rows, m.cols), pivots
+    return F2Matrix._from_ints(rows, m.cols), pivots
 
 
 @dataclass(frozen=True)
@@ -479,6 +583,17 @@ def kernel_basis(m: F2Matrix) -> F2Subspace:
     pivots[i] equal to entry (i, f). Derived from the reduced echelon
     form, so repeated runs are bit-identical; dimension is cols - rank.
     """
+    if m.cols <= _WORD:
+        rows, pivots = _reduced_rows(m.iter_row_ints())
+        is_pivot = set(pivots)
+        vectors = {f: 1 << f for f in range(m.cols) if f not in is_pivot}
+        for p, v in zip(pivots, rows):
+            v ^= 1 << p
+            while v:  # the free columns of RREF row p
+                low = v & -v
+                vectors[low.bit_length() - 1] |= 1 << p
+                v ^= low
+        return F2Subspace(m.cols, F2Matrix._from_ints(list(vectors.values()), m.cols))
     r, pivots = rref(m)
     piv = np.asarray(pivots, dtype=np.int64)
     is_free = np.ones(m.cols, dtype=bool)
@@ -548,7 +663,7 @@ def solve_matrix(m: F2Matrix, rhs: F2Matrix) -> F2Matrix | None:
     sol = _solve_rows(m, rhs.row_ints())
     if sol is None:
         return None
-    return F2Matrix.from_rows([sol.get(j, 0) for j in range(m.cols)], rhs.cols)
+    return F2Matrix._from_ints([sol.get(j, 0) for j in range(m.cols)], rhs.cols)
 
 
 class IncrementalSpan:
@@ -560,19 +675,27 @@ class IncrementalSpan:
 
     def __init__(self, rows=()):
         self.pivots: dict[int, int] = {}
-        for v in rows:
-            self.add(v)
+        pivots = self.pivots
+        for v in rows:  # add(v) for each row, inlined
+            while v:
+                low = (v & -v).bit_length() - 1
+                p = pivots.get(low)
+                if p is None:
+                    pivots[low] = v
+                    break
+                v ^= p
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
     def reduce(self, v: int) -> int:
+        pivots = self.pivots
         while v:
-            low = (v & -v).bit_length() - 1
-            if low not in self.pivots:
+            p = pivots.get((v & -v).bit_length() - 1)
+            if p is None:
                 return v
-            v ^= self.pivots[low]
+            v ^= p
         return 0
 
     def contains(self, v: int) -> bool:

@@ -296,22 +296,26 @@ def _write_rows(path: str, m: F2Matrix) -> None:
 
 
 def _read_rows(path: str, cols: int) -> F2Matrix:
-    """Inverse of _write_rows, parsed one block of about _ROW_TEXT_BYTES at
-    a time into one packed array sized from the file's length; blank lines
-    and surrounding whitespace are ignored, and every row must be ``cols``
-    characters of 0 and 1. A row of another length is reported before any
-    character other than 0 and 1, wherever the two occur in the file."""
+    """Inverse of _write_rows, split into lines one block of about
+    _ROW_TEXT_BYTES at a time and packed into one array sized from the
+    file's length; blank lines and surrounding whitespace are ignored, and
+    every row must be ``cols`` characters of 0 and 1. A row of another
+    length is reported before any character other than 0 and 1, wherever
+    the two occur in the file."""
     import numpy as np
 
-    per = max(1, _ROW_TEXT_BYTES // max(cols, 1))
-    lines, rows, foreign = [], 0, False
+    rows, foreign = 0, False
+    zero, one = ord("0"), ord("1")
 
-    def pack() -> None:
+    def pack(lines: list[bytes]) -> None:
+        """Check and pack one block's lines, emptying the list."""
         nonlocal rows, foreign
+        lines[:] = [line for line in map(bytes.strip, lines) if line]
+        if any(len(line) != cols for line in lines):
+            raise BundleCorrupt(f"{path}: rows must have {cols} characters")
         text = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), cols)
         lines.clear()
         # two reductions, where comparisons would allocate a mask each
-        zero, one = ord("0"), ord("1")
         foreign = foreign or text.min(initial=zero) < zero or text.max(initial=one) > one
         if not foreign:
             bits = np.packbits(text == one, axis=1, bitorder="little")
@@ -322,17 +326,14 @@ def _read_rows(path: str, cols: int) -> F2Matrix:
         # each row is cols characters and a line break, bar the last one
         size = os.fstat(f.fileno()).st_size
         data = np.zeros(((size + 1) // (cols + 1) if cols else 0, _n_words(cols)), dtype=np.uint64)
-        for chunk in f:
-            for line in chunk.splitlines():  # as bytes.splitlines: \n, \r\n and \r
-                line = line.strip()
-                if not line:
-                    continue
-                if len(line) != cols:
-                    raise BundleCorrupt(f"{path}: rows must have {cols} characters")
-                lines.append(line)
-                if len(lines) == per:
-                    pack()
-    pack()
+        head = b""  # the line the last block left unfinished
+        while block := f.read(_ROW_TEXT_BYTES):
+            lines = block.splitlines()  # the one split of a block: \n, \r\n and \r
+            lines[0] = head + lines[0]
+            head = b"" if block.endswith((b"\n", b"\r")) else lines.pop()
+            del block
+            pack(lines)
+        pack([head])
     if foreign:
         raise BundleCorrupt(f"{path}: rows may hold only 0 and 1")
     return F2Matrix(rows, cols, data[:rows])

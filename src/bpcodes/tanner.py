@@ -383,7 +383,10 @@ def _scan_samples(columns, n, beta, lo_w, hi_w, count, seed):
         return violations, worst
     words = _pack_columns(columns, n)
     for w, support in _sample_supports(n, lo_w, hi_w, count, seed):
-        out = np.bitwise_count(np.bitwise_xor.reduce(words[support], axis=1)).sum(axis=1, dtype=np.int64)
+        image = words[support[:, 0]]  # XOR the picks in one at a time: no picks x words gather
+        for k in range(1, support.shape[1]):
+            image ^= words[support[:, k]]
+        out = np.bitwise_count(image).sum(axis=1, dtype=np.int64)
         scale = beta * w
         violations += int(np.count_nonzero(out < scale - 1e-9))
         worst = min(worst, float((out / scale).min()))
