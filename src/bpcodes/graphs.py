@@ -25,6 +25,9 @@ from .algebra import (
     ProjMat2,
     _ProjectiveGroup,
     blockwise,
+    build_pgl2,
+    build_psl2,
+    cyclic_group,
     index_table,
     is_prime,
     legendre,
@@ -293,8 +296,6 @@ def lps_graph(p: int, q: int) -> tuple[LabeledGraph, FiniteGroup, list[int]]:
     Returns (graph, group, generator indices). The group is PSL when
     (p/q) = 1 and PGL when (p/q) = -1.
     """
-    from .algebra import build_pgl2, build_psl2
-
     mats = lps_generators(p, q)
     group = build_psl2(q) if legendre(p, q) == 1 else build_pgl2(q)
     gens = group.indices_of(mats).tolist()
@@ -602,8 +603,6 @@ def cycle_labeled_graph(ell: int) -> LabeledGraph:
 
 def cycle_rotation_action(graph: LabeledGraph, subgroup_order: int) -> GraphAction:
     """Z_m acting on the cycle C_ell by rotation through ell/m steps."""
-    from .algebra import cyclic_group
-
     ell = graph.n
     if ell % subgroup_order:
         raise NotFree("subgroup order must divide the cycle length")
@@ -838,8 +837,6 @@ def coset_graph(group: FiniteGroup, rho: int, sigma: int) -> LabeledGraph:
 def klein_quartic_graph() -> tuple[LabeledGraph, FiniteGroup, int, int]:
     """The 7-regular graph on 24 vertices and 84 edges from the {3,7}
     rotation system inside PSL(2,7)."""
-    from .algebra import build_psl2
-
     group = build_psl2(7)
     rho, sigma = find_rotation_pair(group, 3, 7)
     graph = coset_graph(group, rho, sigma)

@@ -15,6 +15,8 @@ import math
 import os
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .algebra import is_prime, legendre, unipotent_subgroup
 from .classical import dual_distance, local_code_from_spec
 from .errors import BpcodesError, BundleCorrupt, DegreeMismatch, RecipeInvalid
@@ -36,7 +38,7 @@ from .products import (
     pi_iota_is_identity,
 )
 from .quantum import css_from_complex, ldpc_check, pk_bounds
-from .tanner import TannerComplex, build_tanner, rate_lower_bound
+from .tanner import TannerComplex, build_tanner, rate_lower_bound, theorem7_beta, theorem8_beta
 
 REFERENCE_NOTE = (
     "reference constants p=401, delta=0.1, alpha_ho=1e-3, alpha_co=1e-5 are "
@@ -261,8 +263,6 @@ def build_bundle(recipe: Recipe, out_dir: str) -> BuildResult:
 
 
 def _safe_beta7(s, lam2, d_local, alpha):
-    from .tanner import theorem7_beta
-
     try:
         return theorem7_beta(s, lam2, d_local, alpha)
     except BpcodesError:
@@ -270,8 +270,6 @@ def _safe_beta7(s, lam2, d_local, alpha):
 
 
 def _safe_beta8(tanner: TannerComplex, lam2, alpha):
-    from .tanner import theorem8_beta
-
     dd = dual_distance(tanner.local)
     return theorem8_beta(tanner.graph.s, lam2, tanner.local.k, dd, alpha)
 
@@ -282,8 +280,6 @@ _ROW_TEXT_BYTES = 1 << 20  # bytes of row text made or parsed at once
 def _write_rows(path: str, m: F2Matrix) -> None:
     """One line of ASCII 0/1 characters per matrix row, written one block
     of about _ROW_TEXT_BYTES at a time."""
-    import numpy as np
-
     per = max(1, _ROW_TEXT_BYTES // (m.cols + 1))
     with open(path, "wb") as f:
         for lo in range(0, m.rows, per):
@@ -302,8 +298,6 @@ def _read_rows(path: str, cols: int) -> F2Matrix:
     every row must be ``cols`` characters of 0 and 1. A row of another
     length is reported before any character other than 0 and 1, wherever
     the two occur in the file."""
-    import numpy as np
-
     rows, foreign = 0, False
     zero, one = ord("0"), ord("1")
 

@@ -12,11 +12,17 @@ bit after basis alignment:
 
 Basis conventions. Balanced-product cells are orbit representatives of
 basis pairs chosen with the smallest left index, ordered lexicographically.
-Fiber-bundle and lifted-product cells are (base cell, fiber position)
-pairs, base-major. The canonical alignment target keys every cell by
-(base cell, fiber shift) where the left factor's representative is the
-source-lift (the orbit member through the source vertex representative);
-``aligned_total`` converts each construction into that shared basis.
+The left action is free, so these are the pairs (rep[k], y') of a left
+orbit's smallest member and any right basis index, and they are numbered
+in closed form from the left factor's orbit table (``graphs._orbit_tables``)
+alone: orbit k * n_right + y' is the one through (rep[k], y'), and the
+pair (x, y) lies in orbit orbit[x] * n_right + y', where y' is y moved by
+the group element that carries rep[orbit[x]] to x. Fiber-bundle and
+lifted-product cells are (base cell, fiber position) pairs, base-major.
+The canonical alignment target keys every cell by (base cell, fiber
+shift) where the left factor's representative is the source-lift (the
+orbit member through the source vertex representative); ``aligned_total``
+converts each construction into that shared basis.
 """
 
 from __future__ import annotations
@@ -25,8 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteGroup, GroupAlgebraElem, index_table, lift_group_algebra_matrix
-from .complexes import ChainComplex, DoubleComplex, _kron, total_complex
+from .algebra import (
+    FiniteGroup,
+    GroupAlgebraElem,
+    cyclic_group,
+    index_table,
+    lift_group_algebra_matrix,
+)
+from .complexes import ChainComplex, DoubleComplex, _kron, cycle_graph_complex, total_complex
 from .errors import (
     ActionInvalid,
     ActionNotChainMap,
@@ -35,10 +47,11 @@ from .errors import (
     IncidenceMissing,
     KunnethViolation,
     NotAutomorphism,
+    NotFree,
     NotFreeOnBasis,
 )
 from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, solve, solve_matrix
-from .graphs import GraphAction, QuotientData, quotient_graph
+from .graphs import GraphAction, QuotientData, _orbit_tables, quotient_graph
 from .tanner import TannerComplex, build_tanner
 
 PROJECTION_CAP_DIM = 512  # middle cells up to which homology_split builds projections
@@ -109,9 +122,6 @@ def _rotations(ell: int, shifts) -> np.ndarray:
 def cycle_complex_with_action(ell: int) -> ComplexWithAction:
     """Chain complex of the ell-cycle with Z_ell rotating both cell types;
     the group element k shifts indices by +k."""
-    from .algebra import cyclic_group
-    from .complexes import cycle_graph_complex
-
     rotations = _rotations(ell, range(ell))
     return ComplexWithAction(cycle_graph_complex(ell), cyclic_group(ell), {0: rotations, 1: rotations})
 
@@ -132,14 +142,29 @@ def tanner_complex_with_action(t: TannerComplex, action: GraphAction) -> Complex
 
 @dataclass(frozen=True)
 class BalancedCell:
-    """Quotient basis bookkeeping for one (p, q) grid cell."""
+    """Quotient basis of one (p, q) grid cell, numbered in closed form
+    from the left orbit table (see the module docstring): the orbit of
+    (x, y) under h: (x, y) -> (hx, h^-1 y) has the representative
+    (rep[orbit[x]], perms_r[shift[x]][y])."""
 
-    reps: tuple[tuple[int, int], ...]  # orbit representatives (left, right)
-    orbit_of: np.ndarray  # shape (dim_left, dim_right) -> orbit index
+    orbit: np.ndarray  # left basis index -> left orbit
+    rep: np.ndarray  # left orbit -> its smallest member, increasing
+    shift: np.ndarray  # left basis index -> element carrying its rep to it
+    perms_r: np.ndarray  # right action table, (order, nr)
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self.rep) * self.perms_r.shape[1]
+
+    def orbit_ids(self, x, y) -> np.ndarray:
+        """Orbit index of each pair (x, y)."""
+        return self.orbit[x] * self.perms_r.shape[1] + self.perms_r[self.shift[x], y]
+
+    def representatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right members of every orbit's representative, in
+        orbit order."""
+        nr = self.perms_r.shape[1]
+        return np.repeat(self.rep, nr), np.tile(np.arange(nr), len(self.rep))
 
 
 class BalancedProductComplex:
@@ -178,14 +203,16 @@ def balanced_product(left: ComplexWithAction, right: ComplexWithAction) -> Balan
     cl, cr = left.complex, right.complex
 
     cells: dict[tuple[int, int], BalancedCell] = {}
+    right_degrees = [q for q in cr.degrees() if cr.dim(q)]
     for p in cl.degrees():
-        for q in cr.degrees():
-            nl, nr = cl.dim(p), cr.dim(q)
-            if nl == 0 or nr == 0:
-                continue
-            cells[(p, q)] = _pair_orbits(left.perms[p], right.perms[q], g, nl, nr)
-            if (nl * nr) % g.order or cells[(p, q)].dim != nl * nr // g.order:
-                raise NotFreeOnBasis("pair orbits are not all full size")
+        if cl.dim(p) == 0 or not right_degrees:
+            continue
+        try:
+            tables = _orbit_tables(cl.dim(p), g, left.perms[p])
+        except NotFree:
+            raise NotFreeOnBasis("left action not free: a pair orbit is not full size") from None
+        for q in right_degrees:
+            cells[(p, q)] = BalancedCell(*tables, right.perms[q])
 
     grid = {pq: cell.dim for pq, cell in cells.items()}
     vdiffs: dict[tuple[int, int], F2Matrix] = {}
@@ -200,24 +227,6 @@ def balanced_product(left: ComplexWithAction, right: ComplexWithAction) -> Balan
     return BalancedProductComplex(left, right, double, total, cells)
 
 
-def _pair_orbits(perms_l, perms_r, g: FiniteGroup, nl: int, nr: int) -> BalancedCell:
-    """Orbits of the pairs (x, y) under h: (x, y) -> (hx, h^-1 y).
-
-    The left action is free, so each orbit has one member with the
-    smallest left index: for h* minimizing perms_l[h][x] the orbit of
-    (x, y) has representative (perms_l[h*][x], perms_r[h*^-1][y]). Orbits
-    are numbered by their representatives in lexicographic order.
-    """
-    if (np.diff(np.sort(perms_l, axis=0), axis=0) == 0).any():
-        raise NotFreeOnBasis("left action not free: a pair orbit is not full size")
-    best = np.argmin(perms_l, axis=0)
-    rep_x = perms_l[best, np.arange(nl)]
-    rep_y = perms_r[g.inverses()[best]]
-    codes, orbit_of = np.unique(rep_x[:, None] * nr + rep_y, return_inverse=True)
-    reps = tuple(zip((codes // nr).tolist(), (codes % nr).tolist()))
-    return BalancedCell(reps, orbit_of.reshape(nl, nr).astype(np.int64))
-
-
 def _induced(src: BalancedCell, dst: BalancedCell, d: F2Matrix, side: int) -> F2Matrix:
     """Differential of one factor pushed to the quotient bases.
 
@@ -225,19 +234,18 @@ def _induced(src: BalancedCell, dst: BalancedCell, d: F2Matrix, side: int) -> F2
     (x, y), side 1 to the right member: the column of source orbit o
     holds the orbits of (z, y) (resp. (x, z)) for every z with d[z, .] = 1.
     """
-    reps = np.asarray(src.reps, dtype=np.int64).reshape(-1, 2)
+    reps = src.representatives()
     rows, cols = d.nonzeros()
     by_col = np.argsort(cols, kind="stable")
     hits = rows[by_col]
     deg = np.bincount(cols, minlength=d.cols)
     first = np.cumsum(deg) - deg
-    counts = deg[reps[:, side]]
-    orbit = np.repeat(np.arange(len(reps)), counts)
+    counts = deg[reps[side]]
+    orbit = np.repeat(np.arange(src.dim), counts)
     within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    z = hits[np.repeat(first[reps[:, side]], counts) + within]
-    pair = reps[orbit].T.copy()
-    pair[side] = z
-    return F2Matrix.from_entries(dst.dim, src.dim, (dst.orbit_of[pair[0], pair[1]], orbit))
+    pair = [reps[0][orbit], reps[1][orbit]]
+    pair[side] = hits[np.repeat(first[reps[side]], counts) + within]
+    return F2Matrix.from_entries(dst.dim, src.dim, (dst.orbit_ids(*pair), orbit))
 
 
 # -- fiber bundle complexes -------------------------------------------------
@@ -564,8 +572,6 @@ def circle_balanced_product(
 
     left = tanner_complex_with_action(t, action)
     # cycle carrying the same group: element i rotates by powers[i]
-    from .complexes import cycle_graph_complex
-
     rotations = _rotations(ell, powers)
     right = ComplexWithAction(cycle_graph_complex(ell), h, {0: rotations, 1: rotations})
 
@@ -611,8 +617,6 @@ def tanner_group_algebra_matrix(inst: CircleProductInstance) -> list[list[GroupA
 def circle_fiber_bundle(inst: CircleProductInstance) -> FiberBundleComplex:
     """The same product built over the quotient base with the connection
     acting as fiber rotations."""
-    from .complexes import cycle_graph_complex
-
     ell = inst.action.group.order
     base_cx = inst.base_tanner.complex
     fiber = cycle_graph_complex(ell)
@@ -638,41 +642,34 @@ def circle_fiber_bundle(inst: CircleProductInstance) -> FiberBundleComplex:
 
 
 def _canonical_maps(inst: CircleProductInstance):
-    """Permutations taking each construction's bases to the shared
-    (base cell, fiber shift) coordinates."""
+    """Permutations taking the balanced product's cells to the shared
+    (base cell, fiber shift) coordinates, base-major with the fiber inner:
+    base edge * ell + shift on the (1, q) cells and
+    (base vertex * c + check) * ell + shift on the (0, q) cells.
+
+    A representative (x, y) lies over the base cell of x, shifted by y plus
+    the power of the element carrying the source-lift representative to x.
+    """
     qd = inst.quotient
-    t = inst.tanner
-    h = inst.action.group
-    ell = h.order
-    powers = inst.powers
-    base = qd.base
-    c = t.checks_per_vertex
-    n_e, n_v = base.n_edges, base.n
-
-    # canonical index layout per grid cell, base-major with the fiber inner:
-    #   (1,1): base edge * ell + shift          (edges x fiber edges)
-    #   (1,0): same layout                      (edges x fiber vertices)
-    #   (0,1): (base vertex*c + check) * ell + shift
-    #   (0,0): same layout
-    def edge_key(e: int, j: int) -> int:
-        # relative shift of e against the source-lift representative
-        return qd.edge_orbit_of[e] * ell + (j + _edge_power(e)) % ell
-
-    def check_key(idx: int, j: int) -> int:
-        v, i = idx // c, idx % c
-        bv = qd.vertex_orbit_of[v]
-        return (bv * c + i) * ell + (j + powers[qd.vertex_shift[v]]) % ell
-
-    def _edge_power(e: int) -> int:
-        return powers[qd.edge_shift[e]]
-
-    bal = {}
+    ell = inst.action.group.order
+    c = inst.tanner.checks_per_vertex
+    powers = np.asarray(inst.powers)
+    check = np.arange(inst.tanner.graph.n * c)
+    vertex = check // c
+    # per left degree: (base cell, fiber power) of every left basis index
+    lifts = {
+        1: (np.asarray(qd.edge_orbit_of), powers[np.asarray(qd.edge_shift)]),
+        0: (
+            np.asarray(qd.vertex_orbit_of)[vertex] * c + check % c,
+            powers[np.asarray(qd.vertex_shift)[vertex]],
+        ),
+    }
+    maps = {}
     for (p, q), cell in inst.product.cells.items():
-        table = np.empty(cell.dim, dtype=np.int64)
-        for o, (x, y) in enumerate(cell.reps):
-            table[o] = edge_key(x, y) if p == 1 else check_key(x, y)
-        bal[(p, q)] = table
-    return bal
+        x, y = cell.representatives()
+        base, power = lifts[p]
+        maps[(p, q)] = base[x] * ell + (y + power[x]) % ell
+    return maps
 
 
 def aligned_total(inst: CircleProductInstance, which: str) -> ChainComplex:
@@ -888,7 +885,7 @@ def horizontal_homology_dim(inst: CircleProductInstance) -> int:
     # entries, so the chains do not rely on that map being injective
     r, e = tanner_kernel.nonzeros()
     n1 = bp.total.dim(1)
-    keys = np.unique(r * n1 + bp.cells[(1, 0)].orbit_of[e, 0])
+    keys = np.unique(r * n1 + bp.cells[(1, 0)].orbit_ids(e, 0))
     chains = F2Matrix.from_entries(tanner_kernel.rows, n1, (keys // n1, keys % n1))
     span = IncrementalSpan(bp.total.differential(2).transpose().row_ints())
     return sum(span.add(chain) for chain in chains.row_ints())

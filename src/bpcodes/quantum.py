@@ -19,7 +19,7 @@ from .classical import ENUMERATION_CAP, _min_detected_weight
 from .complexes import ChainComplex
 from .errors import DegreeOutOfRange, DomainError, NoLogicals
 from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, rref
-from .products import CircleProductInstance, HomologySplit
+from .products import CircleProductInstance, HomologySplit, homology_split
 
 SAMPLED_DRAWS = 2000  # random cycle combinations behind a sampled upper bound
 SAMPLED_SEED = 0
@@ -116,8 +116,6 @@ class SubsystemCssCode:
 def subsystem_from_split(
     inst: CircleProductInstance, split: HomologySplit | None = None
 ) -> SubsystemCssCode:
-    from .products import homology_split
-
     if split is None:
         split = homology_split(inst)
     base = css_from_complex(inst.product.total, 1)

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ENUMERATION_CAP, LinearCode, dual_distance, exact_distance
+from .classical import ENUMERATION_CAP, LinearCode, dual_distance, exact_distance, hamming_7_4
 from .complexes import ChainComplex, one_complex
 from .errors import DegreeMismatch, DomainError
-from .f2la import F2Matrix
-from .graphs import LabeledGraph, edge_to_vertex_beta, second_eigenvalue
+from .f2la import F2Matrix, write_alist
+from .graphs import LabeledGraph, edge_to_vertex_beta, klein_quartic_graph, second_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -437,9 +437,6 @@ def klein_tanner_code(search: bool = False) -> TannerComplex:
     recorded in ``labeling_note``. Mixed senses are still legitimate
     labelings: each vertex keeps a rotation-compatible coordinate order.
     """
-    from .classical import hamming_7_4
-    from .graphs import klein_quartic_graph
-
     graph, _, rho, sigma = klein_quartic_graph()
     ham = hamming_7_4()
     t = build_tanner(graph, ham, labeling_note=f"rotational(rho={rho},sigma={sigma})")
@@ -506,6 +503,4 @@ def tanner_report(t: TannerComplex, with_distance: bool = False) -> dict:
 
 
 def export_tanner_alist(t: TannerComplex, path) -> None:
-    from .f2la import write_alist
-
     write_alist(t.differential(), path)

@@ -14,10 +14,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GroupAlgebraElem, legendre, unipotent_subgroup
+from .algebra import (
+    GroupAlgebraElem,
+    cyclic_group,
+    legendre,
+    lift_group_algebra_matrix,
+    unipotent_subgroup,
+)
 from .classical import binary_entropy, exact_distance, gv_plus_search, repetition_code
 from .complexes import (
     ChainComplex,
+    DoubleComplex,
     cycle_graph_complex,
     homology_2x2_via_pages,
     one_complex,
@@ -42,6 +49,7 @@ from .products import (
     pi_iota_is_identity,
     triple_equivalence_holds,
     ComplexWithAction,
+    _rotations,
 )
 from .quantum import (
     css_from_complex,
@@ -415,8 +423,6 @@ def _random_2x2(rng):
         vd[(p, q)] = basis[(p, q - 1)][0].matmul(m).matmul(basis[(p, q)][1])
     for (p, q), m in e.hdiffs.items():
         hd[(p, q)] = basis[(p - 1, q)][0].matmul(m).matmul(basis[(p, q)][1])
-    from .complexes import DoubleComplex
-
     return DoubleComplex(e.grid, vd, hd, check=True)
 
 
@@ -436,8 +442,6 @@ def _random_invertible(rng, n: int):
 def _random_free_cyclic_complex(rng, ell: int, side: str) -> ComplexWithAction:
     """Lift of a random matrix over GF(2)[Z_ell]: the cyclic group permutes
     the circulant blocks, acting freely on every basis."""
-    from .algebra import cyclic_group, lift_group_algebra_matrix
-
     rows = int(rng.integers(1, 4))
     cols = int(rng.integers(1, 4))
     mat = [
@@ -446,18 +450,12 @@ def _random_free_cyclic_complex(rng, ell: int, side: str) -> ComplexWithAction:
     ]
     lifted = lift_group_algebra_matrix(mat)
     cx = one_complex(lifted)
-    grp = cyclic_group(ell)
-    perms = {}
-    for d, blocks in ((1, cols), (0, rows)):
-        table = []
-        for k in range(ell):
-            perm = []
-            for b in range(blocks):
-                for j in range(ell):
-                    perm.append(b * ell + (j + k) % ell)
-            table.append(perm)
-        perms[d] = table
-    return ComplexWithAction(cx, grp, perms)
+    rotations = _rotations(ell, range(ell))
+    perms = {
+        d: np.hstack([b * ell + rotations for b in range(blocks)])
+        for d, blocks in ((1, cols), (0, rows))
+    }
+    return ComplexWithAction(cx, cyclic_group(ell), perms)
 
 
 def _homology_with_action(cwa: ComplexWithAction, d: int):

@@ -1,8 +1,8 @@
 """Static guard against dead code in src/bpcodes, using only the stdlib ast.
 
 Fails when a package module imports a name it never uses (``__init__.py``
-and ``__future__`` imports are exempt) or re-imports inside a function a
-name its module already imports at top level, and when a function or class
+and ``__future__`` imports are exempt), or imports inside a function a
+name or a module its file already imports at top level, and when a function or class
 defined in the package, or an UPPER_CASE constant assigned at module level
 there, is named nowhere in src/, tests/, scripts/ or perfbench/: not as a
 name read, not as an attribute, and not as a string constant that spells a
@@ -31,6 +31,12 @@ def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [alias.asname or alias.name.split(".")[0] for alias in node.names]
 
 
+def _source_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return [alias.name for alias in node.names]
+
+
 def _imports(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (
@@ -46,14 +52,18 @@ def test_no_unused_or_repeated_imports():
             continue
         tree = _parse(path)
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        top_level = {
-            name
-            for node in tree.body
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for name in _bound_names(node)
-        }
+        top_nodes = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        top_level = {name for node in top_nodes for name in _bound_names(node)}
+        top_modules = {module for node in top_nodes for module in _source_modules(node)}
         for node in _imports(tree):
             nested = node not in tree.body
+            if nested:
+                problems.extend(
+                    f"{path.name}:{node.lineno} imports from {module} in a function;"
+                    " the file imports it at top level"
+                    for module in _source_modules(node)
+                    if module in top_modules
+                )
             for name in _bound_names(node):
                 if name not in used:
                     problems.append(f"{path.name}:{node.lineno} imports {name}, never used")

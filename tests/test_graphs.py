@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from bpcodes import algebra, graphs
+from bpcodes import verify as V
 from bpcodes.algebra import FiniteGroup, build_pgl2, build_psl2, cyclic_group, unipotent_subgroup
+from bpcodes.complexes import one_complex
 from bpcodes.errors import (
     BpcodesError,
     Disconnected,
@@ -26,6 +28,7 @@ from bpcodes.errors import (
     QuotientConditionViolated,
     SelfLoop,
 )
+from bpcodes.f2la import F2Matrix
 from bpcodes.graphs import (
     GraphAction,
     brute_force_expansion_check,
@@ -53,6 +56,7 @@ from bpcodes.graphs import (
     LabeledGraph,
     _edge_images,
 )
+from bpcodes.products import ComplexWithAction, balanced_product
 
 
 def _pairs(table) -> list[tuple[int, int]]:
@@ -525,9 +529,10 @@ def test_graph_action_rejects_an_edge_inside_an_orbit():
 # -- the array paths against the element-loop code they replaced ----------------
 #
 # The _old_* functions below are the loop implementations of cayley_graph,
-# cayley_right_action, _orbit_tables, quotient_graph, _pair_orbits and
-# check_quotient_condition that the index-array versions replaced, kept
-# here as the reference. They multiply through the scalar FiniteGroup.mul.
+# cayley_right_action, _orbit_tables, quotient_graph, the balanced-product
+# pair orbits and check_quotient_condition that the index-array versions
+# replaced, kept here as the reference. They multiply through the scalar
+# FiniteGroup.mul.
 
 
 def _old_cayley_edges(group, gens):
@@ -626,6 +631,20 @@ def _old_pair_orbits(perms_l, perms_r, g, nl, nr):
     return tuple(reps), orbit_of
 
 
+def _assert_cell_matches_loop_reference(bp, p, q):
+    """The closed-form numbering of cell (p, q) against the pair loop:
+    the representatives in orbit order and the orbit of every pair."""
+    cell = bp.cells[(p, q)]
+    nl, nr = bp.left.dim(p), bp.right.dim(q)
+    reps, orbit_of = _old_pair_orbits(
+        bp.left.perms[p].tolist(), bp.right.perms[q].tolist(), bp.group, nl, nr
+    )
+    x, y = cell.representatives()
+    assert cell.dim == len(reps)
+    assert list(zip(x.tolist(), y.tolist())) == list(reps)
+    assert np.array_equal(cell.orbit_ids(np.arange(nl)[:, None], np.arange(nr)), orbit_of)
+
+
 def _old_conjugate_witness(group, gens, sub):
     gen_set = set(gens)
     for g in range(group.order):
@@ -681,7 +700,6 @@ def _psl7_rotation_graph():
 
 
 def test_lps13_group_layer_matches_loop_reference():
-    from bpcodes.products import _pair_orbits
     from bpcodes.verify import lps_instance
 
     inst = lps_instance(5, 13)
@@ -693,17 +711,70 @@ def test_lps13_group_layer_matches_loop_reference():
         _assert_orbit_tables_match(n, sub, perms)
     assert _quotient_fields(inst.quotient) == tuple(_old_quotient_fields(inst.action))
     bp = inst.product
-    for (p, q), cell in bp.cells.items():
-        nl, nr = bp.left.dim(p), bp.right.dim(q)
-        reps, orbit_of = _old_pair_orbits(
-            bp.left.perms[p].tolist(), bp.right.perms[q].tolist(), sub, nl, nr
-        )
-        assert cell.reps == reps
-        assert np.array_equal(cell.orbit_of, orbit_of)
-        fresh = _pair_orbits(bp.left.perms[p], bp.right.perms[q], sub, nl, nr)
-        assert fresh.reps == reps and np.array_equal(fresh.orbit_of, orbit_of)
+    assert bp.group is sub
+    for p, q in bp.cells:
+        _assert_cell_matches_loop_reference(bp, p, q)
     rep = check_quotient_condition(group, gens, sub)
     assert rep.holds and rep.witness is None is _old_conjugate_witness(group, gens, sub)
+
+
+def _regular_complex(group, masks) -> ComplexWithAction:
+    """One-complex over GF(2)[G] for an abelian G given by its table: block
+    column j holds the group elements as basis points, entry masks[i][j]
+    is a bitmask of elements s, and the differential sends (j, g) to every
+    (i, s g). G acts by h: (j, g) -> (j, h g), freely on both degrees."""
+    n = group.order
+    every = np.arange(n)
+    table = group.mul_indices(every[:, None], every)  # [h, g] = h g
+    m = np.asarray(masks, dtype=np.int64)
+    i, j, s = np.nonzero((m[..., None] >> every) & 1)
+    rows, cols = i[:, None] * n + table[s], j[:, None] * n + every
+    blocks = {1: m.shape[1], 0: m.shape[0]}
+    d = F2Matrix.from_entries(blocks[0] * n, blocks[1] * n, (rows.ravel(), cols.ravel()))
+    perms = {deg: np.hstack([b * n + table for b in range(k)]) for deg, k in blocks.items()}
+    return ComplexWithAction(one_complex(d), group, perms)
+
+
+def _trivially_acted(group, d) -> ComplexWithAction:
+    """The one-complex of d with every element acting as the identity."""
+    perms = {
+        deg: np.tile(np.arange(n), (group.order, 1)) for deg, n in ((1, d.cols), (0, d.rows))
+    }
+    return ComplexWithAction(one_complex(d), group, perms, free=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["cyclic", "z3z3"]),
+    st.integers(1, 7),
+    st.sampled_from(["free", "trivial"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_balanced_cells_match_pair_loop_reference(group_kind, ell, right_kind, seed):
+    """Closed-form balanced-product cells against the pair-orbit loop, for
+    random free cyclic complexes (ell 1-7) and Z_3 x Z_3 group-algebra
+    complexes, with a free or a trivially acted right factor."""
+    rng = np.random.default_rng(seed)
+    if group_kind == "cyclic":
+        left = V._random_free_cyclic_complex(rng, ell, side="right")
+    else:
+        elems = [(a, b) for a in range(3) for b in range(3)]
+        z3z3 = FiniteGroup(elems, lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3))
+        shape = rng.integers(1, 4, 2)
+        left = _regular_complex(z3z3, rng.integers(0, 1 << 9, shape).tolist())
+    g = left.group
+    if right_kind == "trivial":
+        right = _trivially_acted(g, F2Matrix.from_dense(rng.integers(0, 2, rng.integers(1, 5, 2))))
+    elif group_kind == "cyclic":
+        right = V._random_free_cyclic_complex(rng, ell, side="left")
+    else:
+        right = _regular_complex(g, rng.integers(0, 1 << 9, rng.integers(1, 4, 2)).tolist())
+    bp = balanced_product(left, right)
+    assert list(bp.cells) == [
+        (p, q) for p in left.complex.degrees() for q in right.complex.degrees()
+    ]
+    for p, q in bp.cells:
+        _assert_cell_matches_loop_reference(bp, p, q)
 
 
 def test_psl7_group_layer_matches_loop_reference():

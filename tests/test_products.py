@@ -44,6 +44,7 @@ from bpcodes.products import (
     verify_bundle_kunneth,
 )
 from bpcodes.tanner import build_tanner
+from test_graphs import _old_pair_orbits
 
 
 @pytest.fixture(scope="module")
@@ -463,11 +464,29 @@ def test_complex_with_action_rejects_a_fixed_basis_point():
         ComplexWithAction(cx, cyclic_group(3), perms)
 
 
+def test_balanced_product_rejects_a_non_free_left_factor():
+    """The same factor as above, built with free=False: its vertex is a
+    fixed point, so the balanced product rejects it at the boundary."""
+    cx = one_complex(F2Matrix.from_dense([[1, 1, 1]]))
+    perms = {1: [[(j + k) % 3 for j in range(3)] for k in range(3)], 0: [[0]] * 3}
+    left = ComplexWithAction(cx, cyclic_group(3), perms, free=False)
+    message = "^left action not free: a pair orbit is not full size$"
+    with pytest.raises(NotFreeOnBasis, match=message):
+        balanced_product(left, cycle_complex_with_action(3))
+
+
 def _loop_horizontal_homology_dim(inst):
-    """The per-edge bit loop that one nonzeros() of the kernel replaced."""
+    """The per-edge bit loop that one nonzeros() of the kernel replaced,
+    with each edge's coordinate, the orbit of (e, 0), from the pair-orbit
+    loop; the closed-form orbit ids must agree with it."""
     tanner_kernel = kernel_basis(inst.tanner.differential()).basis
-    cell = inst.product.cells[(1, 0)]
-    coord = [int(cell.orbit_of[e, 0]) for e in range(inst.tanner.graph.n_edges)]
+    bp = inst.product
+    n_edges = inst.tanner.graph.n_edges
+    _, orbit_of = _old_pair_orbits(
+        bp.left.perms[1].tolist(), bp.right.perms[0].tolist(), bp.group, n_edges, bp.right.dim(0)
+    )
+    coord = orbit_of[:, 0].tolist()
+    assert bp.cells[(1, 0)].orbit_ids(np.arange(n_edges), 0).tolist() == coord
     d2t = inst.product.total.differential(2).transpose()
     span = IncrementalSpan(d2t.row_ints())
     dim = 0
