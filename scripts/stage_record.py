@@ -4,6 +4,8 @@
     python3 scripts/stage_record.py --p 5 --q 23 [--local SPEC]
 
 Prints one JSON line per stage with its wall time (``wall_s``), the
+minor page faults it took (``ru_minflt``, first touches of fresh memory:
+a stage that reuses memory an earlier stage freed takes few), the
 process's high-water mark after it (``ru_maxrss_mb``) and its current
 resident size (``rss_mb``, from /proc/self/statm). The last two stages
 write the logical and gauge row files of the bundle to a temporary
@@ -50,13 +52,16 @@ def rss_mb() -> float:
 def record(stage: str, fn, *args, traced: bool = False):
     if traced:
         tracemalloc.start()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     out = fn(*args)
     wall = time.perf_counter() - t0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     line = {
         "stage": stage,
         "wall_s": round(wall, 4),
-        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "ru_minflt": usage.ru_minflt - faults,
+        "ru_maxrss_mb": round(usage.ru_maxrss / 1024, 1),
         "rss_mb": round(rss_mb(), 1),
     }
     if traced:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -221,11 +221,27 @@ class FiniteGroup:
         """Inverse indices of all elements, as a read-only int array."""
         return self._inv
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Generators picked greedily in index order: an element joins when
+        the earlier generators do not generate it."""
+        gens, reached = [], np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            frontier = np.flatnonzero(reached)
+            while len(frontier):  # close under right products by the generators
+                step = np.unique(self.mul_indices(frontier[:, None], gens))
+                frontier = step[~reached[step]]
+                reached[frontier] = True
+        return tuple(gens)
+
     def is_action_table(self, perms) -> bool:
         """Whether perms (order x n, row h the image of every point under
         element h) is a group action: every entry lies in range, the
-        identity row fixes every point, and perms[a][perms[b]] equals
-        perms[a*b] for all a, b. Rows are then permutations."""
+        identity row fixes every point, and perms[a][perms[s]] equals
+        perms[a*s] for every a and generator s, which by induction on word
+        length gives the law for all pairs; rows are then permutations."""
         p = np.asarray(perms, dtype=np.int64)
         if p.ndim != 2 or p.shape[0] != self.order:
             return False
@@ -236,17 +252,14 @@ class FiniteGroup:
             return False
         every, blocks = np.arange(self.order), row_blocks(self.order, n)
         return all(
-            np.array_equal(p[a][p[rows]], p[self.mul_indices(a, every[rows])])
-            for a in range(self.order)
+            np.array_equal(p[rows][:, p[s]], p[self.mul_indices(every[rows], s)])
+            for s in self.generators
             for rows in blocks
         )
 
     def is_abelian(self) -> bool:
-        every = np.arange(self.order)
-        return all(
-            np.array_equal(self.mul_indices(a, every), self.mul_indices(every, a))
-            for a in range(self.order)
-        )
+        g = np.array(self.generators, dtype=np.int64)
+        return np.array_equal(self.mul_indices(g[:, None], g), self.mul_indices(g, g[:, None]))
 
     def same_table(self, other: "FiniteGroup") -> bool:
         """Whether other has the same order and multiplication table."""

@@ -67,17 +67,17 @@ class ComplexWithAction:
     perms[degree][h] is the permutation for the h-th group element, stored
     as a read-only (order, dim) int array per degree; the table of every
     degree must be a group action, and every permutation must commute with
-    the differentials.
+    the differentials. Only a balanced product's left factor must be free.
     """
 
-    def __init__(self, cx: ChainComplex, group: FiniteGroup, perms, free: bool = True):
+    def __init__(self, cx: ChainComplex, group: FiniteGroup, perms):
         self.complex = cx
         self.group = group
         # balanced products need an abelian group
         if not group.is_abelian():
             raise ActionInvalid(f"group {group.name} is not abelian")
         self.perms = {d: self._table(perms, d) for d in cx.degrees()}
-        self._validate(free)
+        self._validate()
 
     def _table(self, perms, d: int) -> np.ndarray:
         """The action table of degree d, checked to be a group action."""
@@ -91,23 +91,20 @@ class ComplexWithAction:
             raise ActionInvalid(f"permutations at degree {d} are not a group action")
         return table
 
-    def _validate(self, free: bool) -> None:
-        g, cx = self.group, self.complex
-        others = (np.arange(g.order) != g.identity)[:, None]
-        for d, table in self.perms.items():
-            if free and ((table == np.arange(cx.dim(d))) & others).any():
-                raise NotFreeOnBasis(f"fixed basis point at degree {d}")
-        for d, m in cx.diffs.items():
-            if m.rows == 0 or m.cols == 0:
-                continue
-            # each element must carry the ones of d_d onto themselves
+    def _validate(self) -> None:
+        """Raise on the first element in index order not commuting with
+        d_d. Generators suffice: commuting elements form a subgroup, and
+        every element before a generator lies in that of the earlier ones."""
+        gens = np.array(self.group.generators, dtype=np.int64)[:, None]
+        for d, m in self.complex.diffs.items():
+            # each generator must carry the ones of d_d onto themselves
             r, c = m.nonzeros()
             ones = np.sort(r * m.cols + c)
-            moved = np.sort(self.perms[d - 1][:, r] * m.cols + self.perms[d][:, c], axis=1)
+            moved = np.sort(self.perms[d - 1][gens, r] * m.cols + self.perms[d][gens, c], axis=1)
             off = (moved != ones).any(axis=1)
             if off.any():
                 raise ActionNotChainMap(
-                    f"group element {int(np.argmax(off))} does not commute with d_{d}"
+                    f"group element {int(gens[np.argmax(off), 0])} does not commute with d_{d}"
                 )
 
     def dim(self, d: int) -> int:
@@ -563,8 +560,6 @@ def circle_balanced_product(
     h = action.group
     if h.order % 2 == 0:
         raise EvenOrder("cyclic order must be odd")
-    if action.graph is not t.graph:
-        raise ActionInvalid("action was built on a different graph")
     if generator is None:
         generator = smallest_generator(h)
     powers = cyclic_power_map(h, generator)

@@ -229,8 +229,8 @@ def balanced_suite(trials: int = 100, seed: int = 13) -> SuiteResult:
     dims = []
     for _ in range(trials):
         ell = int(rng.choice([3, 5, 7]))
-        left = _random_free_cyclic_complex(rng, ell, side="right")
-        right = _random_free_cyclic_complex(rng, ell, side="left")
+        left = _random_free_cyclic_complex(rng, ell)
+        right = _random_free_cyclic_complex(rng, ell)
         bp = balanced_product(left, right)
         hl = {p: _homology_with_action(left, p) for p in left.complex.degrees()}
         hr = {q: _homology_with_action(right, q) for q in right.complex.degrees()}
@@ -240,7 +240,7 @@ def balanced_suite(trials: int = 100, seed: int = 13) -> SuiteResult:
             # sum over p+q=n of dim(H_p(C) (x)_H H_q(D)), from the induced
             # actions on homology
             rhs = sum(
-                _quotient_tensor_dim(*hl[p], *hr[n - p], left.group)
+                _quotient_tensor_dim(*hl[p], *hr[n - p])
                 for p in hl
                 if n - p in hr and hl[p][0] and hr[n - p][0]
             )
@@ -439,7 +439,7 @@ def _random_invertible(rng, n: int):
     return m, inv
 
 
-def _random_free_cyclic_complex(rng, ell: int, side: str) -> ComplexWithAction:
+def _random_free_cyclic_complex(rng, ell: int) -> ComplexWithAction:
     """Lift of a random matrix over GF(2)[Z_ell]: the cyclic group permutes
     the circulant blocks, acting freely on every basis."""
     rows = int(rng.integers(1, 4))
@@ -459,40 +459,42 @@ def _random_free_cyclic_complex(rng, ell: int, side: str) -> ComplexWithAction:
 
 
 def _homology_with_action(cwa: ComplexWithAction, d: int):
-    """(dim H_d, induced action per group element): entry i of the h-th
-    list is the image of representative i under h, a bitset over the
-    representatives.
+    """(dim H_d, induced action per generator of the group): entry i of
+    the s-th list is the image of representative i under generator s, a
+    bitset over the representatives.
 
-    One elimination solves the images under every h against
+    One elimination solves the images under every generator against
     (reps | boundaries); free variables are zero, so each column's
-    solution is the one a solve for that h alone would give.
+    solution is the one a solve for that generator alone would give.
     """
     basis = cwa.complex.homology_basis(d)
     reps = basis.cycle_reps.basis
     k = reps.rows
     if k == 0:
         return 0, []
-    order = cwa.group.order
+    gens = np.array(cwa.group.generators, dtype=np.int64)[:, None]
     solver = reps.vstack(basis.boundary_space.basis).transpose()
-    # column h*k + r: the image of rep r under h
+    # column s*k + r: the image of rep r under generator s
     r, c = reps.nonzeros()
     images = F2Matrix.from_entries(
         reps.cols,
-        order * k,
-        (cwa.perms[d][:, c].ravel(), (np.arange(order)[:, None] * k + r).ravel()),
+        len(gens) * k,
+        (cwa.perms[d][gens, c].ravel(), (np.arange(len(gens))[:, None] * k + r).ravel()),
     )
     x = solve_matrix(solver, images)
     if x is None:
         raise AssertionError("action image is not a cycle class")
     cols = x.submatrix_rows(np.arange(k)).transpose().row_ints()
-    return k, [cols[h * k : (h + 1) * k] for h in range(order)]
+    return k, [cols[s * k : (s + 1) * k] for s in range(len(gens))]
 
 
-def _quotient_tensor_dim(kl, al, kr, ar, group) -> int:
-    """dim of (V (x) W) / span(v*h (x) w - v (x) h*w) over all group elements.
+def _quotient_tensor_dim(kl, al, kr, ar) -> int:
+    """dim of (V (x) W) / span(v*h (x) w - v (x) h*w) over all group elements
+    h, from the generators' actions al[s], ar[s]: as gs - 1 = (g - 1)s +
+    (s - 1), their relations span those of every element.
 
     Basis vector v_a (x) w_b is bit a*kr + b, so the relation of (v_i, w_j)
-    is spread(v_i*h) << j plus (h*w_j) << i*kr, where spread moves bit a
+    is spread(v_i*s) << j plus (s*w_j) << i*kr, where spread moves bit a
     of a V-vector to bit a*kr.
     """
 
@@ -506,11 +508,11 @@ def _quotient_tensor_dim(kl, al, kr, ar, group) -> int:
 
     span = IncrementalSpan()
     rels = 0
-    for h in range(group.order):
-        # entry i of al[h] is the image of v_i; likewise for ar[h]
-        for i, vi_img in enumerate(al[h]):
+    for al_s, ar_s in zip(al, ar):
+        # entry i of al_s is the image of v_i; likewise for ar_s
+        for i, vi_img in enumerate(al_s):
             vi_spread = spread(vi_img)
-            for j, wj_img in enumerate(ar[h]):
+            for j, wj_img in enumerate(ar_s):
                 vec = (vi_spread << j) ^ (wj_img << (i * kr))
                 if vec and span.add(vec):
                     rels += 1

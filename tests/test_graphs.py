@@ -740,7 +740,7 @@ def _trivially_acted(group, d) -> ComplexWithAction:
     perms = {
         deg: np.tile(np.arange(n), (group.order, 1)) for deg, n in ((1, d.cols), (0, d.rows))
     }
-    return ComplexWithAction(one_complex(d), group, perms, free=False)
+    return ComplexWithAction(one_complex(d), group, perms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,7 +756,7 @@ def test_balanced_cells_match_pair_loop_reference(group_kind, ell, right_kind, s
     complexes, with a free or a trivially acted right factor."""
     rng = np.random.default_rng(seed)
     if group_kind == "cyclic":
-        left = V._random_free_cyclic_complex(rng, ell, side="right")
+        left = V._random_free_cyclic_complex(rng, ell)
     else:
         elems = [(a, b) for a in range(3) for b in range(3)]
         z3z3 = FiniteGroup(elems, lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3))
@@ -766,7 +766,7 @@ def test_balanced_cells_match_pair_loop_reference(group_kind, ell, right_kind, s
     if right_kind == "trivial":
         right = _trivially_acted(g, F2Matrix.from_dense(rng.integers(0, 2, rng.integers(1, 5, 2))))
     elif group_kind == "cyclic":
-        right = V._random_free_cyclic_complex(rng, ell, side="left")
+        right = V._random_free_cyclic_complex(rng, ell)
     else:
         right = _regular_complex(g, rng.integers(0, 1 << 9, rng.integers(1, 4, 2)).tolist())
     bp = balanced_product(left, right)
@@ -809,6 +809,25 @@ def test_rotated_cycles_match_loop_reference(ell, m):
     _assert_orbit_tables_match(ell, action.group, action.vertex_perms)
     _assert_orbit_tables_match(ell, action.group, action.edge_perms)
     assert _quotient_fields(quotient_graph(action)) == tuple(_old_quotient_fields(action))
+
+
+@pytest.mark.parametrize(
+    "order,n,step",
+    [(4, 4, 2), (3, 3, 0), (6, 3, 1), (9, 6, 2)],
+    ids=["Z4-by-2h", "Z3-trivial", "Z6-on-3", "Z9-on-6"],
+)
+def test_orbit_tables_reject_a_valid_action_that_is_not_free(order, n, step):
+    """Z_order rotating n points by step*h is an action (n divides
+    step*order) with orbits smaller than the group; Z4 rotating 4 points
+    by 2h has two orbits of two."""
+    from bpcodes.errors import NotFree
+    from bpcodes.graphs import _orbit_tables
+
+    group = cyclic_group(order)
+    perms = (np.arange(n) + step * np.arange(order)[:, None]) % n
+    assert group.is_action_table(perms)
+    with pytest.raises(NotFree, match="^orbit smaller than the group order$"):
+        _orbit_tables(n, group, perms)
 
 
 def test_z9_witness_matches_loop_reference():

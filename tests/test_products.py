@@ -135,7 +135,7 @@ def test_bundle_hypothesis_failure_skips():
 def test_trivial_group_balanced_is_tensor():
     triv = cyclic_group(1)
     c = cycle_graph_complex(3)
-    ca = ComplexWithAction(c, triv, {d: [list(range(3))] for d in (0, 1)}, free=False)
+    ca = ComplexWithAction(c, triv, {d: [list(range(3))] for d in (0, 1)})
     bp = balanced_product(ca, ca)
     tens = tensor_complex(c, c)
     assert bp.total.dims == tens.dims
@@ -163,7 +163,7 @@ def test_coinvariants_from_trivial_right_factor():
     va = ComplexWithAction(v, grp, perms_v)
     w = one_complex(F2Matrix.zeros(1, 1))
     perms_w = {d: [[0], [0], [0]] for d in (0, 1)}
-    wa = ComplexWithAction(w, grp, perms_w, free=False)
+    wa = ComplexWithAction(w, grp, perms_w)
     bp = balanced_product(va, wa)
     assert bp.cell_dim(1, 1) == 1 and bp.cell_dim(0, 0) == 1
 
@@ -172,8 +172,9 @@ def test_balanced_rejects_nonfree_left():
     grp = cyclic_group(2)
     c = one_complex(F2Matrix.zeros(2, 2))
     perms = {d: [[0, 1], [0, 1]] for d in (0, 1)}  # trivial, not free
+    left = ComplexWithAction(c, grp, perms)
     with pytest.raises(NotFreeOnBasis):
-        ComplexWithAction(c, grp, perms, free=True)
+        balanced_product(left, left)
 
 
 def test_action_table_must_be_a_homomorphism():
@@ -454,22 +455,14 @@ def test_cycle_complex_with_action():
     assert cwa.group.order == 5
 
 
-def test_complex_with_action_rejects_a_fixed_basis_point():
-    """Z_3 rotates the three edges freely but fixes the single vertex; the
-    all-ones differential commutes with both, so only freeness fails."""
-    cx = one_complex(F2Matrix.from_dense([[1, 1, 1]]))
-    perms = {1: [[(j + k) % 3 for j in range(3)] for k in range(3)], 0: [[0]] * 3}
-    ComplexWithAction(cx, cyclic_group(3), perms, free=False)
-    with pytest.raises(NotFreeOnBasis, match="degree 0"):
-        ComplexWithAction(cx, cyclic_group(3), perms)
-
-
 def test_balanced_product_rejects_a_non_free_left_factor():
-    """The same factor as above, built with free=False: its vertex is a
-    fixed point, so the balanced product rejects it at the boundary."""
+    """Z_3 rotates the three edges freely but fixes the single vertex; the
+    all-ones differential commutes with both, so the factor is a valid
+    action, and only the balanced product, which needs a free left
+    factor, rejects it at the boundary."""
     cx = one_complex(F2Matrix.from_dense([[1, 1, 1]]))
     perms = {1: [[(j + k) % 3 for j in range(3)] for k in range(3)], 0: [[0]] * 3}
-    left = ComplexWithAction(cx, cyclic_group(3), perms, free=False)
+    left = ComplexWithAction(cx, cyclic_group(3), perms)
     message = "^left action not free: a pair orbit is not full size$"
     with pytest.raises(NotFreeOnBasis, match=message):
         balanced_product(left, cycle_complex_with_action(3))
