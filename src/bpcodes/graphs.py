@@ -9,7 +9,6 @@ are what a Tanner local code attaches to.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import mmap
@@ -24,7 +23,6 @@ from .algebra import (
     FiniteGroup,
     ProjMat2,
     _ProjectiveGroup,
-    blockwise,
     build_pgl2,
     build_psl2,
     cyclic_group,
@@ -110,29 +108,6 @@ class LabeledGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def edge_ids(self, u, v) -> np.ndarray:
-        """Indices of the edges {u, v}, broadcast over int arrays u and v
-        (a block at a time, ``blockwise``); -1 where the two vertices are
-        not joined."""
-        return blockwise(self._edge_ids, u, v)
-
-    @functools.cached_property
-    def _code_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge codes u * n + v in sorted order, and the edge of each;
-        built at the first lookup."""
-        codes = self.edges[:, 0] * self.n + self.edges[:, 1]
-        by_code = np.argsort(codes)
-        return codes[by_code], by_code
-
-    def _edge_ids(self, u, v) -> np.ndarray:
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        codes = lo * self.n + hi
-        if not self.n_edges:
-            return np.full(codes.shape, -1, dtype=np.int64)
-        sorted_codes, by_code = self._code_index
-        pos = np.minimum(np.searchsorted(sorted_codes, codes), self.n_edges - 1)
-        return np.where(sorted_codes[pos] == codes, by_code[pos], -1)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
@@ -503,10 +478,19 @@ class GraphAction:
 
     vertex_perms[h, v] and edge_perms[h, e] give the images under the h-th
     group element, as read-only (order, n) int arrays; tables given as
-    int64 arrays are held as they are, not copied. Construction checks
-    that the vertex permutations form a group action, freeness, that the
-    permutations respect incidence, label invariance, and the quotient
-    condition (no edge inside a vertex orbit).
+    int64 arrays are held as they are, not copied. vertex_orbits and
+    edge_orbits are their ``_orbit_tables`` (orbit_of, rep, shift).
+
+    Construction checks each fact once, in this order: both tables are
+    actions (the edge table also in range); vertices, then edges, are
+    free by the orbit count; on the generators only, each edge goes to
+    the edge between its ends' images and keeps its labels (products of
+    such maps are such maps); no edge lies inside a vertex orbit (the
+    lowest-index one is named). Of two faults the earlier check reports:
+    an edge table that is not an action is reported as not matching the
+    vertex images before any fixed point, every fault above comes before
+    a label fault, and on the generators the first faulty edge of the
+    first faulty generator is reported.
     """
 
     def __init__(self, graph: LabeledGraph, group: FiniteGroup, vertex_perms, edge_perms):
@@ -517,54 +501,50 @@ class GraphAction:
         self._validate()
 
     def _validate(self) -> None:
-        """Raise on the first faulty group element in index order, with
-        the checks of each element in the order: vertex fixed point, edge
-        fixed point, then per edge the image and its labels; the quotient
-        condition last. The elements are checked a block at a time."""
         g, x = self.group, self.graph
         vp, ep = self.vertex_perms, self.edge_perms
         if vp is None or not g.is_action_table(vp):
             raise NotFree("vertex permutations are not a group action")
         if ep is None or (ep.size and (ep.min() < 0 or ep.max() >= x.n_edges)):
             raise NotFree("edge permutations are not a table of edge indices")
+        if not g.is_action_table(ep):
+            raise NotFree("edge permutation does not match vertex images")
+        try:
+            self.vertex_orbits = _orbit_tables(x.n, g, vp)
+        except NotFree:
+            raise NotFree("action has a vertex fixed point") from None
+        try:
+            self.edge_orbits = _orbit_tables(x.n_edges, g, ep)
+        except NotFree:
+            raise NotFree("action has an edge fixed point") from None
         ends, labs = x.edges, x.labels
-        inside_at = None  # the first element with an edge inside an orbit
-        for rows in row_blocks(g.order, x.n_edges):
-            vb, eb = vp[rows], ep[rows]
-            others = (np.arange(g.order)[rows] != g.identity)[:, None]
-            vfix = ((vb == np.arange(x.n)) & others).any(axis=1)
-            efix = ((eb == np.arange(x.n_edges)) & others).any(axis=1)
-            iu, iv = vb[:, ends[:, 0]], vb[:, ends[:, 1]]
-            image, image_labs = ends[eb], labs[eb]
-            moved = (image[..., 0] != np.minimum(iu, iv)) | (image[..., 1] != np.maximum(iu, iv))
-            at_u = np.where(image[..., 0] == iu, image_labs[..., 0], image_labs[..., 1])
-            at_v = np.where(image[..., 0] == iv, image_labs[..., 0], image_labs[..., 1])
-            bad = moved | (at_u != labs[:, 0]) | (at_v != labs[:, 1])
-            faulty = vfix | efix | bad.any(axis=1)
-            if faulty.any():
-                h = int(np.argmax(faulty))
-                if vfix[h]:
-                    raise NotFree("action has a vertex fixed point")
-                if efix[h]:
-                    raise NotFree("action has an edge fixed point")
-                if moved[h, np.argmax(bad[h])]:
-                    raise NotFree("edge permutation does not match vertex images")
-                raise QuotientConditionViolated("labels are not action-invariant")
-            inside = ((iu == ends[:, 1]) | (iv == ends[:, 0])) & others
-            if inside_at is None and inside.any():
-                inside_at = int(np.argmax(inside)) % x.n_edges
-        if inside_at is not None:
-            u, v = x.edges[inside_at]
+        gens = np.asarray(g.generators, dtype=np.int64)
+        vg, eg = vp[gens], ep[gens]
+        iu, iv = vg[:, ends[:, 0]], vg[:, ends[:, 1]]
+        image, image_labs = ends[eg], labs[eg]
+        moved = (image[..., 0] != np.minimum(iu, iv)) | (image[..., 1] != np.maximum(iu, iv))
+        at_u = np.where(image[..., 0] == iu, image_labs[..., 0], image_labs[..., 1])
+        at_v = np.where(image[..., 0] == iv, image_labs[..., 0], image_labs[..., 1])
+        bad = moved | (at_u != labs[:, 0]) | (at_v != labs[:, 1])
+        if bad.any():
+            if moved.flat[np.argmax(bad)]:
+                raise NotFree("edge permutation does not match vertex images")
+            raise QuotientConditionViolated("labels are not action-invariant")
+        orbit_of = self.vertex_orbits[0]
+        inside = orbit_of[ends[:, 0]] == orbit_of[ends[:, 1]]
+        if inside.any():
+            u, v = ends[np.argmax(inside)]
             raise QuotientConditionViolated(f"edge {u}-{v} joins a vertex to its own orbit")
 
 
 def _edge_images(graph: LabeledGraph, vperms: np.ndarray) -> np.ndarray:
-    """Edge permutations induced by vertex permutations (-1 where the
-    image of an edge is not an edge), a block of group elements at a time."""
-    ends = graph.edges
+    """Edge permutations induced by label-preserving vertex permutations,
+    a block of group elements at a time: the image of an edge is the edge
+    at its first end's image with the label it has at its first end."""
+    ends, labels = graph.edges, graph.labels
     out = np.empty((len(vperms), graph.n_edges), dtype=np.int64)
     for rows in row_blocks(len(vperms), graph.n_edges):
-        out[rows] = graph.edge_ids(vperms[rows][:, ends[:, 0]], vperms[rows][:, ends[:, 1]])
+        out[rows] = graph.edge_at[vperms[rows][:, ends[:, 0]], labels[:, 0]]
     return out
 
 
@@ -626,10 +606,6 @@ class Connection:
     group: FiniteGroup
     values: tuple[int, ...]
 
-    def value(self, e: int, reverse: bool = False) -> int:
-        v = self.values[e]
-        return self.group.inv(v) if reverse else v
-
 
 @dataclass(frozen=True)
 class QuotientData:
@@ -653,19 +629,15 @@ def quotient_graph(action: GraphAction) -> QuotientData:
     representative to the lift's far endpoint.
     """
     x, h = action.graph, action.group
-    orbit_of, rep, shift = _orbit_tables(x.n, h, action.vertex_perms)
-    e_orbit_of_old, e_min, _ = _orbit_tables(x.n_edges, h, action.edge_perms)
+    orbit_of, rep, shift = action.vertex_orbits
+    e_orbit_of_old, e_min, _ = action.edge_orbits
 
     # per edge orbit, numbered by smallest member: its base pair
     ends = x.edges[e_min]
     ou, ov = orbit_of[ends[:, 0]], orbit_of[ends[:, 1]]
     src, dst = np.minimum(ou, ov), np.maximum(ou, ov)
     codes = src * len(rep) + dst
-    loop = ou == ov
-    repeated = _repeats(codes)
-    if (loop | repeated).any():
-        if loop[np.argmax(loop | repeated)]:
-            raise QuotientConditionViolated("edge orbit collapses to a loop")
+    if _repeats(codes).any():
         raise NotSimpleGraph("quotient has parallel edges; not representable")
     # the lift through the source representative: move the member's
     # source-side endpoint back onto the representative
@@ -737,13 +709,13 @@ def graphs_isomorphic_by_map(a: LabeledGraph, b: LabeledGraph, vmap) -> bool:
     vmap = np.asarray(vmap, dtype=np.int64)
     if len(vmap) and (vmap.min() < 0 or vmap.max() >= b.n):
         return False
+    # b's edge with a's label at the image of a's first end, then its far end
     iu, iv = vmap[a.edges[:, 0]], vmap[a.edges[:, 1]]
-    eb = b.edge_ids(iu, iv)
-    if (eb < 0).any():
-        return False
-    at_iu = np.where(b.edges[eb, 0] == iu, b.labels[eb, 0], b.labels[eb, 1])
-    at_iv = np.where(b.edges[eb, 0] == iv, b.labels[eb, 0], b.labels[eb, 1])
-    return bool((at_iu == a.labels[:, 0]).all() and (at_iv == a.labels[:, 1]).all())
+    eb = b.edge_at[iu, a.labels[:, 0]]
+    first = b.edges[eb, 0] == iu
+    far = np.where(first, b.edges[eb, 1], b.edges[eb, 0])
+    at_iv = np.where(first, b.labels[eb, 1], b.labels[eb, 0])
+    return bool((far == iv).all() and (at_iv == a.labels[:, 1]).all())
 
 
 # -- quotient condition ----------------------------------------------------

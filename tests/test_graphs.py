@@ -12,7 +12,6 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as npst
 
 from bpcodes import algebra, graphs
 from bpcodes import verify as V
@@ -1105,44 +1104,22 @@ def test_reconstruction_and_isomorphism_match_loop_reference(make):
         assert graphs_isomorphic_by_map(x, rec, wrong) == _old_isomorphic(x, rec, wrong)
     flipped = LabeledGraph(x.n, x.edges, x.labels[:, ::-1], x.s)
     assert graphs_isomorphic_by_map(rec, flipped, vmap) == _old_isomorphic(rec, flipped, vmap)
+    # a map that is not injective: both ends of one edge sent to one vertex
+    squashed = list(vmap)
+    u, v = rec.edges[0].tolist()
+    squashed[v] = squashed[u]
+    assert not graphs_isomorphic_by_map(rec, x, squashed) and not _old_isomorphic(rec, x, squashed)
+    # maps drawn at random, permutations and otherwise
+    for drawn in [rng.permutation(x.n), rng.integers(0, x.n, x.n), rng.integers(0, 2, x.n)]:
+        drawn = drawn.tolist()
+        assert graphs_isomorphic_by_map(rec, x, drawn) == _old_isomorphic(rec, x, drawn)
 
 
-# -- edge lookups and action checks a block at a time ---------------------------
+# -- action checks and edge images a block at a time -----------------------------
 #
 # algebra._INDEX_BLOCK bounds the entries of each block; set to 1..7 it
 # splits these small cases into many blocks, with one group element a
-# block in the action checks.
-
-
-def _pgl5_cayley_graph():
-    group = build_pgl2(5)
-    orders = group.element_orders()
-    x, y = (int(np.argmax(orders == k)) for k in (5, 4))
-    return cayley_graph(group, [x, group.inv(x), y, group.inv(y)])
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from(["PGL(2,5)", "PSL(2,7)"]),
-    st.integers(1, 7),
-    npst.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, min_side=0, max_side=6),
-    st.data(),
-)
-def test_blocked_edge_ids_match_one_block(name, block, shapes, data):
-    graph = _pgl5_cayley_graph() if name == "PGL(2,5)" else _psl7_rotation_graph()[0]
-    # vertex 0 and the vertices up to two steps from it, so that many
-    # drawn pairs are edges
-    near = np.unique(graph.edges[graph.edge_at[np.unique(graph.edges[graph.edge_at[0]])]])
-    u, v = (
-        near[data.draw(npst.arrays(np.int64, shape, elements=st.integers(0, len(near) - 1)))]
-        for shape in shapes.input_shapes
-    )
-    want = graph._edge_ids(u, v)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "_INDEX_BLOCK", block)
-        got = graph.edge_ids(u, v)
-    assert got.shape == want.shape == shapes.result_shape
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+# block in the action-law checks and the edge images.
 
 
 def _z3z3_orbit_edges():
@@ -1253,6 +1230,103 @@ def test_graph_action_first_fault_matches_one_block(cycle, relabel, block, fault
         mp.setattr(algebra, "_INDEX_BLOCK", block)
         assert _error(lambda: GraphAction(graph, cyclic_group(m), vperms, eperms)) == want
         assert np.array_equal(_edge_images(graph, np.array(vperms)), images)
+
+
+def _old_validate_action(graph, group, vperms, eperms):
+    """GraphAction._validate as it was before it checked the generators
+    and the orbit counts: the first faulty group element in index order,
+    with the checks of each element in the order: vertex fixed point,
+    edge fixed point, then per edge the image and its labels; the
+    quotient condition last. The elements are checked a block at a time."""
+    from bpcodes.errors import NotFree
+
+    g, x = group, graph
+    vp = algebra.index_table(vperms, (g.order, x.n))
+    ep = algebra.index_table(eperms, (g.order, x.n_edges))
+    if vp is None or not g.is_action_table(vp):
+        raise NotFree("vertex permutations are not a group action")
+    if ep is None or (ep.size and (ep.min() < 0 or ep.max() >= x.n_edges)):
+        raise NotFree("edge permutations are not a table of edge indices")
+    ends, labs = x.edges, x.labels
+    inside_at = None  # the first element with an edge inside an orbit
+    for rows in algebra.row_blocks(g.order, x.n_edges):
+        vb, eb = vp[rows], ep[rows]
+        others = (np.arange(g.order)[rows] != g.identity)[:, None]
+        vfix = ((vb == np.arange(x.n)) & others).any(axis=1)
+        efix = ((eb == np.arange(x.n_edges)) & others).any(axis=1)
+        iu, iv = vb[:, ends[:, 0]], vb[:, ends[:, 1]]
+        image, image_labs = ends[eb], labs[eb]
+        moved = (image[..., 0] != np.minimum(iu, iv)) | (image[..., 1] != np.maximum(iu, iv))
+        at_u = np.where(image[..., 0] == iu, image_labs[..., 0], image_labs[..., 1])
+        at_v = np.where(image[..., 0] == iv, image_labs[..., 0], image_labs[..., 1])
+        bad = moved | (at_u != labs[:, 0]) | (at_v != labs[:, 1])
+        faulty = vfix | efix | bad.any(axis=1)
+        if faulty.any():
+            h = int(np.argmax(faulty))
+            if vfix[h]:
+                raise NotFree("action has a vertex fixed point")
+            if efix[h]:
+                raise NotFree("action has an edge fixed point")
+            if moved[h, np.argmax(bad[h])]:
+                raise NotFree("edge permutation does not match vertex images")
+            raise QuotientConditionViolated("labels are not action-invariant")
+        inside = ((iu == ends[:, 1]) | (iv == ends[:, 0])) & others
+        if inside_at is None and inside.any():
+            inside_at = int(np.argmax(inside)) % x.n_edges
+    if inside_at is not None:
+        u, v = x.edges[inside_at]
+        raise QuotientConditionViolated(f"edge {u}-{v} joins a vertex to its own orbit")
+
+
+def _swap_labels_at_zero(graph):
+    """graph with the labels 0 and 1 swapped at vertex 0."""
+    labels = graph.labels.copy()
+    low = (graph.edges == 0) & (labels < 2)
+    labels[low] = 1 - labels[low]
+    return LabeledGraph(graph.n, graph.edges, labels, graph.s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(3, 3), (6, 3), (9, 3), (12, 3), (15, 5), (21, 7), "Z3 x Z3"]),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from("vef"), st.integers(0, 8), st.integers(0, 26), st.integers(0, 26)), max_size=3),
+)
+def test_graph_action_checks_match_the_per_element_scan(case, relabel, faults):
+    """Rotations of a cycle, or Z3 x Z3 on _z3z3_orbit_edges, with up to
+    three entries of the tables overwritten (v: a vertex image, e: an edge
+    image, f: a whole edge row made the identity) and the labels at vertex
+    0 swapped or not. The checks on generators and orbit counts accept
+    the tables the per-element scan accepts. With at most one fault they
+    raise the same class, and the same message except where a corrupted
+    edge row also fixes an edge: the scan finds the fixed point first,
+    the checks find that the edge table is not an action before they
+    count orbits."""
+    if case == "Z3 x Z3":
+        graph, group, vperms, eperms = _z3z3_orbit_edges()
+    else:
+        ell, m = case
+        graph, group = cycle_labeled_graph(ell), cyclic_group(m)
+        vperms, eperms = _rotation_tables(graph, [k * (ell // m) for k in range(m)])
+    if relabel:
+        graph = _swap_labels_at_zero(graph)
+    for kind, h, i, value in faults:
+        h %= group.order
+        if kind == "v":
+            vperms[h][i % graph.n] = value % graph.n
+        elif kind == "e":
+            eperms[h][i % graph.n_edges] = value % graph.n_edges
+        else:
+            eperms[h] = list(range(graph.n_edges))
+    want = _error(lambda: _old_validate_action(graph, group, vperms, eperms))
+    got = _error(lambda: GraphAction(graph, group, vperms, eperms))
+    assert (got is None) == (want is None)
+    if want is not None and len(faults) + relabel <= 1:
+        assert got[0] is want[0]
+        assert got[1] == want[1] or (want[1], got[1]) == (
+            "action has an edge fixed point",
+            "edge permutation does not match vertex images",
+        )
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
