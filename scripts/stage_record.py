@@ -7,13 +7,15 @@ Prints one JSON line per stage with its wall time (``wall_s``), the
 minor page faults it took (``ru_minflt``, first touches of fresh memory:
 a stage that reuses memory an earlier stage freed takes few), the
 process's high-water mark after it (``ru_maxrss_mb``) and its current
-resident size (``rss_mb``, from /proc/self/statm). The last two stages
-write the logical and gauge row files of the bundle to a temporary
-directory and read them back; their records add the tracemalloc peak of
-the stage (``traced_peak_mb``), since the high-water mark is set earlier
-in the build. Run one process per record, under ``ulimit -v`` for the
-large q. This stands in for a traced ``bpcodes build`` until the package
-reports its own stage spans.
+resident size (``rss_mb``, from /proc/self/statm). The build's check that
+the fiber sum inverts the lift (``pi_iota_is_identity``) and the bundle
+hash over hx, hz and the logical and gauge rows (``bundle_hash``) are
+stages of their own. Two stages write the logical and gauge row files of
+the bundle to a temporary directory and read them back; their records add
+the tracemalloc peak of the stage (``traced_peak_mb``), since the
+high-water mark is set earlier in the build. Run one process per record,
+under ``ulimit -v`` for the large q. This stands in for a traced
+``bpcodes build`` until the package reports its own stage spans.
 """
 
 import argparse
@@ -36,8 +38,12 @@ from bpcodes.graphs import (  # noqa: E402
     lps_graph,
     second_eigenvalue,
 )
-from bpcodes.pipeline import _read_rows, _write_rows  # noqa: E402
-from bpcodes.products import circle_balanced_product, homology_split  # noqa: E402
+from bpcodes.pipeline import _bundle_hash, _read_rows, _write_rows  # noqa: E402
+from bpcodes.products import (  # noqa: E402
+    circle_balanced_product,
+    homology_split,
+    pi_iota_is_identity,
+)
 from bpcodes.quantum import css_from_complex  # noqa: E402
 from bpcodes.tanner import build_tanner  # noqa: E402
 
@@ -100,10 +106,12 @@ def main() -> None:
     tanner = record("build_tanner", build_tanner, graph, code)
     inst = record("circle_balanced_product", circle_balanced_product, tanner, action)
     split = record("homology_split", homology_split, inst)
+    record("pi_iota_is_identity", pi_iota_is_identity, split)
     css = record("css_from_complex", css_from_complex, inst.product.total, 1)
     with tempfile.TemporaryDirectory() as out_dir:
         record("write_rows", write_row_files, out_dir, split, traced=True)
         record("read_rows", read_row_files, out_dir, css.n, traced=True)
+    record("bundle_hash", _bundle_hash, css.hx, css.hz, split.h_reps, split.v_reps)
 
 
 if __name__ == "__main__":

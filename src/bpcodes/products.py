@@ -54,8 +54,6 @@ from .f2la import F2Matrix, IncrementalSpan, kernel_basis, rank, solve, solve_ma
 from .graphs import GraphAction, QuotientData, _orbit_tables, quotient_graph
 from .tanner import TannerComplex, build_tanner
 
-PROJECTION_CAP_DIM = 512  # middle cells up to which homology_split builds projections
-
 
 # -- complexes carrying a group action -------------------------------------
 
@@ -719,19 +717,15 @@ class HomologySplit:
 
     Horizontal classes are spanned by full-fiber lifts of base Tanner
     codewords; vertical ones by constant-fiber check chains, chosen on the
-    base (see ``homology_split``). p_h and p_v give the two projections in
-    the coordinates of ``homology_reps``.
+    base (see ``homology_split``). The fiber sum maps chains onto base edge
+    coordinates; it carries each horizontal representative back to its
+    base codeword.
     """
 
-    middle_dim: int
-    homology_reps: F2Matrix  # rows: chosen cycle representatives of H_1
-    h_reps: F2Matrix
-    v_reps: F2Matrix
+    h_reps: F2Matrix  # rows: full-fiber lifts of the base code basis
+    v_reps: F2Matrix  # rows: constant-fiber check chains of the new classes
     base_code_basis: F2Matrix  # basis of the base Tanner code (ker of base diff)
     fiber_sum: F2Matrix  # chain-level map onto base edge coordinates
-    iota: F2Matrix  # base code basis -> horizontal representatives (rows)
-    p_h: F2Matrix  # homology basis -> base-code coordinates
-    p_v: F2Matrix  # homology basis -> vertical-class coordinates
 
     @property
     def dim_h(self) -> int:
@@ -740,10 +734,6 @@ class HomologySplit:
     @property
     def dim_v(self) -> int:
         return self.v_reps.rows
-
-    @property
-    def total_logical(self) -> int:
-        return self.homology_reps.rows
 
 
 def homology_split(inst: CircleProductInstance) -> HomologySplit:
@@ -758,46 +748,32 @@ def homology_split(inst: CircleProductInstance) -> HomologySplit:
     representatives and check chains are all fixed by the Z_ell rotation,
     so for odd ell the orbit sum decides which check chains are new
     classes; it maps a boundary d(e, j) to column e of the base Tanner
-    differential. The full-size ranks check h + v == dim H_1.
-
-    Above PROJECTION_CAP_DIM middle cells the homology basis and the
-    projection matrices are not materialized (``p_h`` and ``p_v`` have no
-    columns); the split representatives and dimension checks remain.
+    differential. The full-size rank checks h + v == dim H_1.
     """
     bp = inst.product
     tot = bp.total
     qd = inst.quotient
     ell = inst.action.group.order
     n1 = tot.dim(1)
-    with_projections = n1 <= PROJECTION_CAP_DIM
-    n_edges_total = inst.tanner.graph.n_edges
     u_dim = bp.cell_dim(1, 0)
-    if u_dim != n_edges_total:
+    if u_dim != inst.tanner.graph.n_edges:
         raise ActionInvalid("unexpected horizontal block dimension")
 
     base_diff = inst.base_tanner.complex.differential(1)
     base_code = kernel_basis(base_diff).basis  # k_base x n_base_edges
-    n_base_edges = qd.base.n_edges
 
     maps = _canonical_maps(inst)
     u_keys = maps[(1, 0)]  # balanced u-basis -> canonical (edge, shift)
 
     # fiber sum: n_base_edges x n1, supported on the u block
     fiber_sum = F2Matrix.from_entries(
-        n_base_edges, n1, (u_keys // ell, np.arange(len(u_keys), dtype=np.int64))
+        qd.base.n_edges, n1, (u_keys // ell, np.arange(len(u_keys), dtype=np.int64))
     )
 
-    # iota: lift each base codeword to every fiber shift (u block only); each
+    # lift each base codeword to every fiber shift (u block only); each
     # u-basis element lies over exactly one base edge, so this is the
     # codeword times the fiber-sum incidence
-    iota = base_code.matmul(fiber_sum)
-
-    # the full homology basis only when asked
-    if with_projections:
-        h1 = tot.homology_basis(1)
-        reps = h1.cycle_reps.basis
-    else:
-        reps = F2Matrix.zeros(0, n1)
+    h_reps = base_code.matmul(fiber_sum)
 
     # vertical classes: constant-fiber check chains (after the u block) over
     # the base checks whose unit vectors extend the base column space
@@ -807,63 +783,19 @@ def homology_split(inst: CircleProductInstance) -> HomologySplit:
     v_reps = F2Matrix.from_entries(
         base_diff.rows, n1, (check_keys // ell, u_dim + np.arange(len(check_keys)))
     ).submatrix_rows(chosen)
-    h_reps = iota
 
-    homology_dim = reps.rows if with_projections else tot.homology_dim(1)
-    if h_reps.rows + v_reps.rows != homology_dim:
+    if h_reps.rows + v_reps.rows != tot.homology_dim(1):
         raise KunnethViolation(
             "horizontal and vertical classes do not span the middle homology"
         )
-
-    if not with_projections:
-        return HomologySplit(
-            middle_dim=n1,
-            homology_reps=h_reps.vstack(v_reps),
-            h_reps=h_reps,
-            v_reps=v_reps,
-            base_code_basis=base_code,
-            fiber_sum=fiber_sum,
-            iota=iota,
-            p_h=F2Matrix.zeros(base_code.rows, 0),
-            p_v=F2Matrix.zeros(v_reps.rows, 0),
-        )
-
-    # projections in the chosen homology coordinates: column r of p_h
-    # solves base_code^T x = fiber_sum(rep r)
-    reps_t = reps.transpose()
-    p_h = solve_matrix(base_code.transpose(), fiber_sum.matmul(reps_t))
-    if p_h is None:
-        raise KunnethViolation("fiber sum of a cycle is not a base codeword")
-
-    # vertical coordinates: solve against (v_reps | boundaries) after removing
-    # the horizontal component
-    residues = reps_t.add(iota.transpose().matmul(p_h))
-    bounds = h1.boundary_space.basis
-    x = solve_matrix(v_reps.vstack(bounds).transpose(), residues)
-    if x is None:
-        raise KunnethViolation("residue class is not vertical modulo boundaries")
-    p_v = x.submatrix_rows(np.arange(v_reps.rows))
-
     return HomologySplit(
-        middle_dim=n1,
-        homology_reps=reps,
-        h_reps=h_reps,
-        v_reps=v_reps,
-        base_code_basis=base_code,
-        fiber_sum=fiber_sum,
-        iota=iota,
-        p_h=p_h,
-        p_v=p_v,
+        h_reps=h_reps, v_reps=v_reps, base_code_basis=base_code, fiber_sum=fiber_sum
     )
 
 
 def pi_iota_is_identity(split: HomologySplit) -> bool:
     """The fiber sum undoes the full-fiber lift on the base code."""
-    for r in range(split.base_code_basis.rows):
-        w = split.base_code_basis.row_int(r)
-        if split.fiber_sum.mul_vec_int(split.iota.row_int(r)) != w:
-            return False
-    return True
+    return split.h_reps.matmul(split.fiber_sum.transpose()) == split.base_code_basis
 
 
 def horizontal_homology_dim(inst: CircleProductInstance) -> int:

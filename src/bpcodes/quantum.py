@@ -119,7 +119,7 @@ def subsystem_from_split(
     if split is None:
         split = homology_split(inst)
     base = css_from_complex(inst.product.total, 1)
-    if split.total_logical != base.k:
+    if split.dim_h + split.dim_v != base.k:
         raise DomainError("split classes disagree with the homology dimension")
     return SubsystemCssCode(base=base, split=split, instance=inst)
 

@@ -238,24 +238,26 @@ def test_unreadable_registry_is_invalid(tmp_path, capsys, text):
 
 
 def test_build_eliminates_each_differential_once(tmp_path, monkeypatch):
-    """One lps(5,7) build (N = 1680, above PROJECTION_CAP_DIM) eliminates d1
-    and d2 once each and d2^T never. Every GF(2) elimination reads its
-    matrix through ``iter_row_ints``; hz = d2^T takes rank(d2) from the
+    """A build of the toy (N = 18) and one of lps(5,7) (N = 1680) each
+    eliminate d1 and d2 once and d2^T never. Every GF(2) elimination reads
+    its matrix through ``iter_row_ints``; hz = d2^T takes rank(d2) from the
     transpose, and the vertical classes are chosen on the base."""
-    read = []
     iter_row_ints = F2Matrix.iter_row_ints
+    recipes = [(Recipe(graph="cycle:9", ell=3, local="rep:2"), 18), (Recipe(p=5, q=7), 1680)]
+    for recipe, n in recipes:
+        read = []
 
-    def recording(self):
-        read.append(self)
-        return iter_row_ints(self)
+        def recording(self):
+            read.append(self)
+            return iter_row_ints(self)
 
-    monkeypatch.setattr(F2Matrix, "iter_row_ints", recording)
-    res = build_bundle(Recipe(p=5, q=7), str(tmp_path))
-    monkeypatch.undo()
-    tot = res.instance.product.total
-    d1, d2 = tot.differential(1), tot.differential(2)
-    assert d1.cols == res.params["N"] == 1680
-    assert [sum(m == d for m in read) for d in (d1, d2, d2.transpose())] == [1, 1, 0]
+        monkeypatch.setattr(F2Matrix, "iter_row_ints", recording)
+        res = build_bundle(recipe, str(tmp_path / str(n)))
+        monkeypatch.undo()
+        tot = res.instance.product.total
+        d1, d2 = tot.differential(1), tot.differential(2)
+        assert d1.cols == res.params["N"] == n
+        assert [sum(m == d for m in read) for d in (d1, d2, d2.transpose())] == [1, 1, 0]
 
 
 def test_registry_resolution(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -349,48 +350,17 @@ def test_triple_equivalence_toy(toy):
 def test_homology_split_toy(toy):
     split = homology_split(toy)
     assert split.dim_h == 1 and split.dim_v == 1
-    assert split.total_logical == toy.product.total.homology_dim(1) == 2
+    assert split.dim_h + split.dim_v == toy.product.total.homology_dim(1) == 2
     assert pi_iota_is_identity(split)
     assert horizontal_homology_dim(toy) == toy.base_tanner.code_dimension() == 1
 
 
-def test_split_projections_are_complementary(toy):
-    split = homology_split(toy)
-    # each homology basis element decomposes into h and v parts exactly
-    for r in range(split.homology_reps.rows):
-        z = split.homology_reps.row_int(r)
-        h_coord = split.p_h.transpose().row_int(r)
-        v_coord = split.p_v.transpose().row_int(r)
-        rebuilt = 0
-        for i in range(split.dim_h):
-            if (h_coord >> i) & 1:
-                rebuilt ^= split.h_reps.row_int(i)
-        for i in range(split.dim_v):
-            if (v_coord >> i) & 1:
-                rebuilt ^= split.v_reps.row_int(i)
-        # difference must be a boundary
-        diff = z ^ rebuilt
-        from bpcodes.f2la import IncrementalSpan
-
-        span = IncrementalSpan(
-            toy.product.total.boundary_space(1).basis.row_ints()
-        )
-        assert span.contains(diff)
-
-
-def test_split_invariant_under_adding_boundaries(toy):
-    # the fiber-sum projection formula ignores boundaries
-    split = homology_split(toy)
-    bounds = toy.product.total.boundary_space(1).basis
-    rng = np.random.default_rng(0)
-    z = split.homology_reps.row_int(0)
-    base_img = split.fiber_sum.mul_vec_int(z)
-    for _ in range(10):
-        b = 0
-        for i in range(bounds.rows):
-            if rng.integers(0, 2):
-                b ^= bounds.row_int(i)
-        assert split.fiber_sum.mul_vec_int(z ^ b) == base_img
+def test_pi_iota_detects_a_flipped_lift_entry():
+    tanner, action, _ = build_instance(Recipe(p=5, q=7))
+    split = homology_split(circle_balanced_product(tanner, action))
+    assert pi_iota_is_identity(split)
+    flip = F2Matrix.from_entries(split.h_reps.rows, split.h_reps.cols, ([0], [0]))
+    assert not pi_iota_is_identity(dataclasses.replace(split, h_reps=split.h_reps.add(flip)))
 
 
 def _full_size_v_reps(inst):
@@ -428,7 +398,22 @@ def _assert_split_matches_full_size(inst):
     v_reps, dim_h = _full_size_v_reps(inst)
     assert split.v_reps == v_reps
     assert (split.dim_h, split.dim_v) == (dim_h, v_reps.rows)
-    assert split.dim_h + split.dim_v == inst.product.total.homology_dim(1)
+    tot = inst.product.total
+    d1, d2 = tot.differential(1), tot.differential(2)
+    dim_h1 = tot.homology_dim(1)
+    assert split.dim_h + split.dim_v == dim_h1
+    # both kinds of representatives are cycles
+    assert split.h_reps.matmul(d1.transpose()).is_zero()
+    assert split.v_reps.matmul(d1.transpose()).is_zero()
+    # every class is a horizontal plus a vertical class plus a boundary
+    reps = split.h_reps.vstack(split.v_reps)
+    assert rank(d2.transpose().vstack(reps)) == rank(d2) + dim_h1
+    # the fiber sum ignores boundaries and carries every cycle to a base
+    # codeword: base_diff . fiber_sum kills ker d1, so its rows lie in the
+    # row space of d1
+    assert split.fiber_sum.matmul(d2).is_zero()
+    base_diff = inst.base_tanner.complex.differential(1)
+    assert rank(d1.vstack(base_diff.matmul(split.fiber_sum))) == rank(d1)
 
 
 def test_vertical_choice_on_base_matches_full_size_toy(toy):
