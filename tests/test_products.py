@@ -355,6 +355,35 @@ def test_homology_split_toy(toy):
     assert horizontal_homology_dim(toy) == toy.base_tanner.code_dimension() == 1
 
 
+def test_split_projections_are_complementary(toy):
+    split = homology_split(toy)
+    tot = toy.product.total
+    bounds = tot.boundary_space(1).basis.row_ints()
+    # h and v representatives stay independent modulo boundaries
+    span = IncrementalSpan(bounds)
+    for v in split.h_reps.row_ints() + split.v_reps.row_ints():
+        assert span.add(v)
+    # each homology basis element is an h part plus a v part plus a boundary
+    for z in tot.homology_basis(1).cycle_reps.basis.row_ints():
+        assert span.contains(z)
+
+
+def test_split_invariant_under_adding_boundaries(toy):
+    # the fiber-sum projection formula ignores boundaries
+    split = homology_split(toy)
+    tot = toy.product.total
+    bounds = tot.boundary_space(1).basis
+    rng = np.random.default_rng(0)
+    z = tot.homology_basis(1).cycle_reps.basis.row_int(0)
+    base_img = split.fiber_sum.mul_vec_int(z)
+    for _ in range(10):
+        b = 0
+        for i in range(bounds.rows):
+            if rng.integers(0, 2):
+                b ^= bounds.row_int(i)
+        assert split.fiber_sum.mul_vec_int(z ^ b) == base_img
+
+
 def test_pi_iota_detects_a_flipped_lift_entry():
     tanner, action, _ = build_instance(Recipe(p=5, q=7))
     split = homology_split(circle_balanced_product(tanner, action))
